@@ -24,7 +24,7 @@ import (
 const benchScale = 0.02
 
 // benchEngine shares one core.Engine across all benchmarks, so artifact
-// builds are cached (and table-warmed) exactly as cmd/lptables caches
+// builds are cached (with frozen chain tables) exactly as cmd/lptables caches
 // them, and the engine-level benchmarks reuse the same instance.
 var (
 	engOnce sync.Once
@@ -448,7 +448,7 @@ func BenchmarkExtensionGCPretenuring(b *testing.B) {
 // multi-core machine it should approach the worker count.
 func BenchmarkEngineRun(b *testing.B) {
 	e := benchEngine()
-	// Warm the artifact cache outside the timed region.
+	// Build the artifact cache outside the timed region.
 	for _, name := range core.ProgramOrder {
 		artifacts(b, name)
 	}

@@ -28,8 +28,10 @@ type FuncID uint32
 // chain.
 type ChainID uint32
 
-// Table interns function names and call-chains. It is not safe for
-// concurrent use; simulations are single-goroutine by design.
+// Table interns function names and call-chains. A table under
+// construction is not safe for concurrent use. Freeze ends construction:
+// after it the table is immutable, so any number of goroutines may read it
+// (including interning calls that hit) without synchronization.
 type Table struct {
 	funcNames []string
 	funcIndex map[string]FuncID
@@ -40,6 +42,8 @@ type Table struct {
 	// cceIDs[f] is the 16-bit encryption id assigned to function f; the
 	// slice is grown lazily and filled by AssignEncryptionIDs.
 	cceIDs []uint16
+
+	frozen bool
 }
 
 // NewTable returns an empty table with the empty chain pre-interned as
@@ -54,10 +58,14 @@ func NewTable() *Table {
 	return t
 }
 
-// Func interns a function name and returns its id.
+// Func interns a function name and returns its id. Interning a new name
+// into a frozen table panics.
 func (t *Table) Func(name string) FuncID {
 	if id, ok := t.funcIndex[name]; ok {
 		return id
+	}
+	if t.frozen {
+		frozenPanic("intern function " + name)
 	}
 	id := FuncID(len(t.funcNames))
 	t.funcNames = append(t.funcNames, name)
@@ -89,11 +97,15 @@ func chainKey(fs []FuncID) string {
 }
 
 // Intern interns a chain of function ids (outermost first) and returns its
-// ChainID. The input slice is copied.
+// ChainID. The input slice is copied. Interning a new chain into a frozen
+// table panics; a chain already present is returned as usual.
 func (t *Table) Intern(fs []FuncID) ChainID {
 	key := chainKey(fs)
 	if id, ok := t.chainIndex[key]; ok {
 		return id
+	}
+	if t.frozen {
+		frozenPanic("intern chain " + key)
 	}
 	id := ChainID(len(t.chains))
 	t.chains = append(t.chains, append([]FuncID(nil), fs...))
@@ -108,6 +120,61 @@ func (t *Table) InternNames(names ...string) ChainID {
 		fs[i] = t.Func(n)
 	}
 	return t.Intern(fs)
+}
+
+// Lookup returns the chain spelled by the function names, outermost first,
+// without interning anything: ok is false when the table holds no such
+// chain. It is the read-only counterpart of InternNames that cross-table
+// site mapping uses, so binding a predictor never writes its table.
+func (t *Table) Lookup(names ...string) (id ChainID, ok bool) {
+	fs := make([]FuncID, len(names))
+	for i, n := range names {
+		if fs[i], ok = t.funcIndex[n]; !ok {
+			return 0, false
+		}
+	}
+	id, ok = t.chainIndex[chainKey(fs)]
+	return id, ok
+}
+
+// Freeze ends the table's construction. It first interns every chain's
+// recursion-eliminated form — the only derived chain the default site
+// keying asks for — so EliminateRecursion stays a read afterwards. From
+// then on, interning a new function or chain, or assigning encryption
+// ids, panics; lookups and interning calls that hit are unaffected.
+// Work that derives new chains (sub-chains, encryption ids) runs on a
+// Clone. Freeze is idempotent.
+func (t *Table) Freeze() {
+	for id, n := 1, len(t.chains); id < n; id++ {
+		t.EliminateRecursion(ChainID(id))
+	}
+	t.frozen = true
+}
+
+// Clone returns an unfrozen, independent copy of the table: the same ids
+// for every function and chain, so ids from t stay valid in the copy,
+// and nothing interned into either afterwards shows up in the other.
+func (t *Table) Clone() *Table {
+	c := &Table{
+		funcNames:  append([]string(nil), t.funcNames...),
+		funcIndex:  make(map[string]FuncID, len(t.funcIndex)),
+		chains:     append([][]FuncID(nil), t.chains...),
+		chainIndex: make(map[string]ChainID, len(t.chainIndex)),
+		cceIDs:     append([]uint16(nil), t.cceIDs...),
+	}
+	for k, v := range t.funcIndex {
+		c.funcIndex[k] = v
+	}
+	for k, v := range t.chainIndex {
+		c.chainIndex[k] = v
+	}
+	return c
+}
+
+// frozenPanic reports a change asked of a frozen table. Callers test
+// t.frozen first, so the message is only built when it is needed.
+func frozenPanic(what string) {
+	panic("callchain: " + what + ": table is frozen (derive new chains on a Clone)")
 }
 
 // Funcs returns the function ids of a chain, outermost first. The returned
@@ -209,6 +276,9 @@ func (t *Table) Hash(id ChainID) uint64 {
 // analysis to pick ids that minimize key collisions; see
 // AssignEncryptionIDsMinimizing for that variant.
 func (t *Table) AssignEncryptionIDs(seed uint64) {
+	if t.frozen {
+		frozenPanic("assign encryption ids")
+	}
 	r := xrand.New(seed)
 	t.cceIDs = make([]uint16, len(t.funcNames))
 	for i := range t.cceIDs {
@@ -223,6 +293,9 @@ func (t *Table) AssignEncryptionIDs(seed uint64) {
 // models the paper's "static call-graph analysis may be used to determine
 // the best ids". It returns the number of colliding chain pairs remaining.
 func (t *Table) AssignEncryptionIDsMinimizing(seed uint64, chains []ChainID, tries int) int {
+	if t.frozen {
+		frozenPanic("assign encryption ids")
+	}
 	r := xrand.New(seed)
 	t.cceIDs = make([]uint16, len(t.funcNames))
 	for i := range t.cceIDs {

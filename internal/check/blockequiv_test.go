@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/heapsim"
 	"repro/internal/profile"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -44,6 +46,55 @@ func TestBlockEquivalenceAcrossModels(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// TestBlockEquivalenceSiteArenaRoutes: with a trained predictor the
+// sitearena factory replays through the per-site route on both the block
+// and the scalar path — predicted-short objects spread over more pools
+// than the one shared pseudo-site the plain hint would use — and the
+// two paths agree byte for byte.
+func TestBlockEquivalenceSiteArenaRoutes(t *testing.T) {
+	m := synth.ByName("espresso")
+	trainSrc, err := m.Source(synth.Config{Input: synth.Train, Seed: 7, Scale: 0.005})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := profile.TrainSource(trainSrc, profile.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	testSrc, err := m.Source(synth.Config{Input: synth.Test, Seed: 7, Scale: 0.005})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Collect(testSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := db.Predictor()
+	fs, err := Factories("sitearena")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckBlockEquivalence(tr, fs, pred); err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func(trace.Source, heapsim.Allocator) (core.SimResult, error){
+		"block": func(src trace.Source, a heapsim.Allocator) (core.SimResult, error) {
+			return core.RunSimSource(src, a, pred)
+		},
+		"scalar": func(src trace.Source, a heapsim.Allocator) (core.SimResult, error) {
+			return core.RunSimSourceScalar(src, a, pred)
+		},
+	} {
+		sa := heapsim.NewSiteArena()
+		if _, err := run(trace.NewSliceSource(tr), sa); err != nil {
+			t.Fatal(err)
+		}
+		if pools := sa.ArenaArea() / (int64(sa.ArenasPerSite) * sa.ArenaSize); pools < 2 {
+			t.Errorf("%s: predicted-short objects used %d site pool(s); the replay did not route per site", name, pools)
+		}
 	}
 }
 

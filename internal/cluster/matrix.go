@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/callchain"
 	"repro/internal/core"
 	"repro/internal/heapsim"
 	"repro/internal/synth"
@@ -150,9 +149,9 @@ type MatrixResult struct {
 }
 
 // RunMatrix runs the full policy × pool tournament. Setup (artifact
-// builds and the predictor-table warm pass) is serial; scenario replays
-// fan out across Workers goroutines and are assembled in matrix order,
-// so the result is byte-identical at any worker count.
+// builds) is serial; scenario replays fan out across Workers goroutines
+// and are assembled in matrix order, so the result is byte-identical at
+// any worker count.
 func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, fmt.Errorf("cluster: matrix needs at least one tenant")
@@ -191,11 +190,10 @@ func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 		pools[i] = kinds
 	}
 
-	// Serial setup: one artifact build per distinct model, then a warm
-	// pass that interns every tenant table's site chains into the shared
-	// predictor tables. After this, concurrent mappers only read the
-	// predictor side (see profile.Mapper), which is what makes the
-	// scenario fan-out race-free.
+	// Serial setup: one artifact build per distinct model. Build freezes
+	// the shared chain tables, and each scenario binds its tenants' own
+	// fresh Test tables to them by read-only lookup (see profile.Mapper),
+	// which is what makes the scenario fan-out race-free.
 	arts := map[string]*core.Artifacts{}
 	for _, spec := range specs {
 		if arts[spec.Model] != nil {
@@ -206,16 +204,6 @@ func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 			return nil, err
 		}
 		arts[spec.Model] = a
-	}
-	for _, spec := range specs {
-		ten, err := buildTenant(cfg.Core, spec, arts[spec.Model])
-		if err != nil {
-			return nil, err
-		}
-		tb := ten.Source.Table()
-		for c := 0; c < tb.NumChains(); c++ {
-			ten.Oracle.PredictShort(callchain.ChainID(c), 8)
-		}
 	}
 
 	type cell struct{ pi, qi int }

@@ -51,7 +51,7 @@ func TestParsePoolSpec(t *testing.T) {
 // TestMatrixWorkerSweepDeterminism: the tournament report must be
 // byte-identical at every worker count — the concurrency is pure
 // scheduling, never result-shaping. Run under -race this also proves the
-// warm pass makes the shared predictor tables safe to read concurrently.
+// frozen shared predictor tables are safe to bind concurrently.
 func TestMatrixWorkerSweepDeterminism(t *testing.T) {
 	report := func(workers int) []byte {
 		cfg := MatrixConfig{

@@ -152,13 +152,14 @@ type CCERow struct {
 }
 
 // CCEQuality measures how much prediction the XOR-key scheme loses to
-// collisions and order-insensitivity.
+// collisions and order-insensitivity. Encryption ids are assigned on a
+// private clone of the frozen Train table.
 func (c Config) CCEQuality(a *Artifacts) CCERow {
 	exactDB := profile.TrainObjects(a.TrainTrace.Table, a.TrainObjs, c.Profile)
 	exact := exactDB.Predictor()
 	exactEv := profile.EvaluateObjects(a.TrainTrace.Table, a.TrainObjs, exact)
 
-	cce, collisions := profile.TrainCCE(a.TrainTrace.Table, a.TrainObjs, c.Profile, c.SeedBase)
+	cce, collisions := profile.TrainCCE(a.TrainTrace.Table.Clone(), a.TrainObjs, c.Profile, c.SeedBase)
 	cceEv := profile.EvaluateCCE(a.TrainObjs, cce)
 	return CCERow{
 		ExactPredPct:  exactEv.PredictedShortPct(),
@@ -264,7 +265,7 @@ func (c Config) SiteArenaComparison(a *Artifacts) (SiteArenaRow, error) {
 	if err != nil {
 		return SiteArenaRow{}, err
 	}
-	sited, err := RunSimSited(a.TestTrace, heapsim.NewSiteArena(), a.TrainPredictor)
+	sited, err := RunSim(a.TestTrace, heapsim.NewSiteArena(), a.TrainPredictor)
 	if err != nil {
 		return SiteArenaRow{}, err
 	}

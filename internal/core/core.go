@@ -17,8 +17,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/callchain"
@@ -89,8 +91,10 @@ type Artifacts struct {
 	TrainDB *profile.DB
 }
 
-// Build generates and annotates both inputs of a model and trains the
-// predictor.
+// Build generates and annotates both inputs of a model, trains the
+// predictor, and freezes both chain tables. The Artifacts are then
+// immutable, so any number of cells may share them concurrently; a cell
+// that derives new chains works on a Table.Clone.
 func (c Config) Build(m *synth.Model) (*Artifacts, error) {
 	a := &Artifacts{Model: m}
 	var err error
@@ -112,6 +116,8 @@ func (c Config) Build(m *synth.Model) (*Artifacts, error) {
 	}
 	a.TrainDB = profile.TrainObjects(a.TrainTrace.Table, a.TrainObjs, c.Profile)
 	a.TrainPredictor = a.TrainDB.Predictor()
+	a.TrainTrace.Table.Freeze()
+	a.TestTrace.Table.Freeze()
 	return a, nil
 }
 
@@ -546,10 +552,16 @@ func RunSimSource(src trace.Source, alloc heapsim.Allocator, pred *profile.Predi
 // profile.Oracle — the paper's mapped site database, a zoo policy bound
 // via profile.BindOracle, or nil for no prediction — supplies the
 // per-allocation short/long hint and the threshold its accuracy is scored
-// against. The oracle must already speak the source's chain table.
+// against. The oracle must already speak the source's chain table. A
+// *heapsim.SiteArena driven by an oracle with site keys (every Mapper and
+// SiteMapper) gets per-site placement; see siteRoute.
 func RunSimOracle(src trace.Source, alloc heapsim.Allocator, oracle profile.Oracle, observers ...*obs.Collector) (SimResult, error) {
 	ot := trackerFor(src, alloc, oracle, observers)
 	res := SimResult{}
+	route, err := routeFor(alloc, oracle)
+	if err != nil {
+		return res, err
+	}
 	// The replay runs on the block path: block-native sources (binary
 	// readers, synth generators, column views) hand over DefaultBlockLen
 	// events per NextBlock call, scalar sources go through the adapter,
@@ -574,14 +586,22 @@ func RunSimOracle(src trace.Source, alloc heapsim.Allocator, oracle profile.Orac
 		for k := 0; k < n; k++ {
 			switch kinds[k] {
 			case trace.KindAlloc:
-				short := false
-				if oracle != nil {
-					// The loop's own decision is reused for quality
-					// tracking; asking the oracle twice would double a
-					// mapper's site-usage accounting.
-					short = oracle.PredictShort(chains[k], sizes[k])
+				if sizes[k] > math.MaxInt64-res.TotalBytes {
+					return res, fmt.Errorf("core: event %d: %w", base+k, errTotalBytes)
 				}
-				if err := alloc.Alloc(objs[k], sizes[k], short); err != nil {
+				short := false
+				if route != nil {
+					short, err = route.alloc(objs[k], sizes[k], chains[k])
+				} else {
+					if oracle != nil {
+						// The loop's own decision is reused for quality
+						// tracking; asking the oracle twice would double a
+						// mapper's site-usage accounting.
+						short = oracle.PredictShort(chains[k], sizes[k])
+					}
+					err = alloc.Alloc(objs[k], sizes[k], short)
+				}
+				if err != nil {
 					return res, fmt.Errorf("core: event %d: %w", base+k, err)
 				}
 				res.TotalAllocs++
@@ -606,6 +626,58 @@ func RunSimOracle(src trace.Source, alloc heapsim.Allocator, oracle profile.Orac
 		res.Obs = ot.finish(src.Meta().Program, src.Table())
 	}
 	return res, nil
+}
+
+// errTotalBytes rejects a replay whose cumulative allocated bytes would
+// overflow SimResult.TotalBytes (and the tracker's byte clock with it).
+var errTotalBytes = errors.New("total allocated bytes overflow int64")
+
+// siteKeyer is the routing face a sited replay needs: the mapped site
+// key (in the oracle's own table) plus the admit verdict per allocation.
+// Both *profile.Mapper and *profile.SiteMapper implement it, so every
+// cross-table binding BindOracle produces can route a SiteArena.
+type siteKeyer interface {
+	Site(raw callchain.ChainID, size int64) (profile.SiteKey, bool)
+}
+
+// siteRoute is the per-site placement of a SiteArena replay, the
+// pollution-isolation variant explored under the paper's "further
+// exploration of algorithms" future work (see EXPERIMENTS.md): each
+// predicted-short allocation goes to its own site's pool, identified by
+// the oracle's site key.
+type siteRoute struct {
+	arena *heapsim.SiteArena
+	keyer siteKeyer
+}
+
+// routeFor picks a replay's placement once, from the allocator's type:
+// a site route for a SiteArena driven by an oracle, nil (the plain
+// predictedShort hint) for everything else. An oracle without site keys
+// cannot route a SiteArena and is an error, not a silent fallback to one
+// shared pool.
+func routeFor(alloc heapsim.Allocator, oracle profile.Oracle) (*siteRoute, error) {
+	sa, ok := alloc.(*heapsim.SiteArena)
+	if !ok || oracle == nil {
+		return nil, nil
+	}
+	keyer, ok := oracle.(siteKeyer)
+	if !ok {
+		return nil, fmt.Errorf("core: oracle %T has no site keys to route a sited arena", oracle)
+	}
+	return &siteRoute{arena: sa, keyer: keyer}, nil
+}
+
+// alloc places one allocation and returns its predicted-short verdict.
+func (r *siteRoute) alloc(obj trace.ObjectID, size int64, chain callchain.ChainID) (bool, error) {
+	key, short := r.keyer.Site(chain, size)
+	if !short {
+		return false, r.arena.Alloc(obj, size, false)
+	}
+	// Fold the site key into a stable, well-mixed 64-bit pool identity
+	// (a plain shift-xor would be congruent to the size modulo the
+	// bucket count).
+	id := (uint64(key.Chain)+1)*0x9e3779b97f4a7c15 ^ uint64(key.Size)*0xc2b2ae3d27d4eb4f
+	return true, r.arena.AllocAt(obj, size, id)
 }
 
 // trackerFor builds the replay's obsTracker when a collector is attached,
@@ -648,6 +720,10 @@ func RunSimSourceScalar(src trace.Source, alloc heapsim.Allocator, pred *profile
 func RunSimOracleScalar(src trace.Source, alloc heapsim.Allocator, oracle profile.Oracle, observers ...*obs.Collector) (SimResult, error) {
 	ot := trackerFor(src, alloc, oracle, observers)
 	res := SimResult{}
+	route, err := routeFor(alloc, oracle)
+	if err != nil {
+		return res, err
+	}
 	for i := 0; ; i++ {
 		ev, err := src.Next()
 		if err == io.EOF {
@@ -659,10 +735,18 @@ func RunSimOracleScalar(src trace.Source, alloc heapsim.Allocator, oracle profil
 		short := false
 		switch ev.Kind {
 		case trace.KindAlloc:
-			if oracle != nil {
-				short = oracle.PredictShort(ev.Chain, ev.Size)
+			if ev.Size > math.MaxInt64-res.TotalBytes {
+				return res, fmt.Errorf("core: event %d: %w", i, errTotalBytes)
 			}
-			if err := alloc.Alloc(ev.Obj, ev.Size, short); err != nil {
+			if route != nil {
+				short, err = route.alloc(ev.Obj, ev.Size, ev.Chain)
+			} else {
+				if oracle != nil {
+					short = oracle.PredictShort(ev.Chain, ev.Size)
+				}
+				err = alloc.Alloc(ev.Obj, ev.Size, short)
+			}
+			if err != nil {
 				return res, fmt.Errorf("core: event %d: %w", i, err)
 			}
 			res.TotalAllocs++
@@ -798,9 +882,12 @@ type Table6Row struct {
 	NewRef  [8]float64
 }
 
-// Table6 sweeps the call-chain length (self prediction).
+// Table6 sweeps the call-chain length (self prediction). Sub-chains are
+// new chains, so the sweep interns them into a private clone of the
+// frozen Train table.
 func (c Config) Table6(a *Artifacts) Table6Row {
 	row := Table6Row{Program: a.Model.Name}
+	tb := a.TrainTrace.Table.Clone()
 	for i := 0; i < 8; i++ {
 		cfg := c.Profile
 		if i < 7 {
@@ -808,8 +895,8 @@ func (c Config) Table6(a *Artifacts) Table6Row {
 		} else {
 			cfg.ChainLength = 0 // complete chain
 		}
-		db := profile.TrainObjects(a.TrainTrace.Table, a.TrainObjs, cfg)
-		ev := profile.EvaluateObjects(a.TrainTrace.Table, a.TrainObjs, db.Predictor())
+		db := profile.TrainObjects(tb, a.TrainObjs, cfg)
+		ev := profile.EvaluateObjects(tb, a.TrainObjs, db.Predictor())
 		row.PredPct[i] = ev.PredictedShortPct()
 		row.NewRef[i] = ev.NewRefPct()
 	}
@@ -1021,12 +1108,6 @@ func replayLocality(tr *trace.Trace, alloc heapsim.Allocator, pred *profile.Pred
 		locality.WorkingSet(allRefs, 4<<10), nil
 }
 
-// InternTables reports the chain tables in play; exposed for tools that
-// need to render chains.
-func (a *Artifacts) InternTables() (train, test *callchain.Table) {
-	return a.TrainTrace.Table, a.TestTrace.Table
-}
-
 // RunSimStream replays a workload model's events through an allocator
 // without materializing the trace: memory stays proportional to the live
 // object set, so paper-scale (and larger) simulations run in a few
@@ -1049,58 +1130,4 @@ func RunSimStream(m *synth.Model, gcfg synth.Config, alloc heapsim.Allocator, pr
 		src.SetCount(n)
 	}
 	return RunSimSource(src, alloc, pred, observers...)
-}
-
-// RunSimSited replays a trace through the per-site arena allocator
-// (heapsim.SiteArena), routing each predicted-short allocation to its own
-// site's pool. This is the pollution-isolation variant explored under the
-// paper's "further exploration of algorithms" future work; see
-// EXPERIMENTS.md. An optional trailing obs.Collector records metrics as
-// in RunSim.
-func RunSimSited(tr *trace.Trace, alloc *heapsim.SiteArena, pred *profile.Predictor, observers ...*obs.Collector) (SimResult, error) {
-	mapper := pred.NewMapper(tr.Table)
-	var ot *obsTracker
-	if col := pickCollector(observers); col != nil {
-		ot = newObsTracker(col, alloc, len(tr.Events), mapper.ShortThreshold())
-	}
-	res := SimResult{}
-	for i, ev := range tr.Events {
-		short := false
-		switch ev.Kind {
-		case trace.KindAlloc:
-			var key profile.SiteKey
-			key, short = mapper.Site(ev.Chain, ev.Size)
-			var err error
-			if short {
-				// Fold the site key into a stable, well-mixed 64-bit
-				// pool identity (a plain shift-xor would be congruent
-				// to the size modulo the bucket count).
-				id := (uint64(key.Chain)+1)*0x9e3779b97f4a7c15 ^
-					uint64(key.Size)*0xc2b2ae3d27d4eb4f
-				err = alloc.AllocAt(ev.Obj, ev.Size, id)
-			} else {
-				err = alloc.Alloc(ev.Obj, ev.Size, false)
-			}
-			if err != nil {
-				return res, fmt.Errorf("core: event %d: %w", i, err)
-			}
-			res.TotalAllocs++
-			res.TotalBytes += ev.Size
-		case trace.KindFree:
-			if err := alloc.Free(ev.Obj); err != nil {
-				return res, fmt.Errorf("core: event %d: %w", i, err)
-			}
-		default:
-			return res, fmt.Errorf("core: event %d: bad kind %d", i, ev.Kind)
-		}
-		if ot != nil {
-			ot.step(ev, short)
-		}
-	}
-	finishSim(&res, alloc)
-	res.PinnedArenas = alloc.PinnedPools()
-	if ot != nil {
-		res.Obs = ot.finish(tr.Program, tr.Table)
-	}
-	return res, nil
 }

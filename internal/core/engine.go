@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/callchain"
 	"repro/internal/obs"
 	"repro/internal/synth"
 	"repro/internal/table"
@@ -24,10 +23,9 @@ import (
 // to a serial run at any worker count. cmd/lptables, the golden-file
 // tests, and the root benchmarks all run through here.
 //
-// Artifacts are cached per model and pre-warmed (see warmArtifacts) so
-// concurrent cells only ever perform read-only lookups on the shared
-// callchain tables; an Engine is safe for concurrent use, and repeated
-// Runs reuse the cache.
+// Artifacts are cached per model and their chain tables are frozen by
+// Config.Build, so concurrent cells only ever read the shared tables; an
+// Engine is safe for concurrent use, and repeated Runs reuse the cache.
 type Engine struct {
 	cfg  Config
 	mu   sync.Mutex
@@ -58,9 +56,9 @@ func (e *Engine) modelByName(name string) *synth.Model {
 	return nil
 }
 
-// Artifacts returns the cached, table-warmed artifacts for one model,
-// building them on first use. The returned Artifacts are safe for
-// concurrent read-side use by experiment cells.
+// Artifacts returns the cached, frozen artifacts for one model, building
+// them on first use. The returned Artifacts are safe for concurrent
+// read-side use by experiment cells.
 func (e *Engine) Artifacts(name string) (*Artifacts, error) {
 	m := e.modelByName(name)
 	if m == nil {
@@ -73,55 +71,8 @@ func (e *Engine) Artifacts(name string) (*Artifacts, error) {
 		e.arts[name] = en
 	}
 	e.mu.Unlock()
-	en.once.Do(func() {
-		en.art, en.err = e.cfg.Build(m)
-		if en.err == nil {
-			warmArtifacts(en.art)
-		}
-	})
+	en.once.Do(func() { en.art, en.err = e.cfg.Build(m) })
 	return en.art, en.err
-}
-
-// warmArtifacts pre-interns every chain and function name an experiment
-// cell can derive, while still single-threaded. callchain.Table is not
-// goroutine-safe, and training, evaluation, and replay mappers all intern
-// lazily (sub-chains, recursion-eliminated chains, cross-table name
-// mappings); warming makes those interning calls map hits, so the cells
-// that later run concurrently over the shared Artifacts only perform
-// read-only lookups. This mirrors the MatrixRunner pre-warm, extended to
-// cover every lptables cell:
-//
-//   - recursion-eliminated site chains in both tables (the default
-//     predictor config, used by training, evaluation, and every replay
-//     mapper);
-//   - Table 6's length-1..7 sub-chains in the train table;
-//   - the Test→Train cross-table name mapping (true-prediction mappers
-//     intern the eliminated Test chain's names into the predictor's
-//     table).
-//
-// The one remaining table mutation is call-chain-encryption id assignment
-// (extension A5); exactly one cell per program touches those ids, and no
-// other cell reads them, so it stays on the cell.
-func warmArtifacts(a *Artifacts) {
-	trainTb, testTb := a.TrainTrace.Table, a.TestTrace.Table
-	nTrain := trainTb.NumChains()
-	for id := 1; id < nTrain; id++ {
-		trainTb.EliminateRecursion(callchain.ChainID(id))
-		for l := 1; l <= 7; l++ {
-			trainTb.SubChain(callchain.ChainID(id), l)
-		}
-	}
-	nTest := testTb.NumChains()
-	names := make([]string, 0, 16)
-	for id := 1; id < nTest; id++ {
-		t := testTb.EliminateRecursion(callchain.ChainID(id))
-		fs := testTb.Funcs(t)
-		names = names[:0]
-		for _, f := range fs {
-			names = append(names, testTb.FuncName(f))
-		}
-		trainTb.InternNames(names...)
-	}
 }
 
 // programNames lists the configured model names in canonical order.

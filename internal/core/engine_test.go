@@ -258,7 +258,7 @@ func TestEngineWorkersClampAndZeroValueSpec(t *testing.T) {
 	}
 }
 
-func TestEngineArtifactsCachedAndWarmed(t *testing.T) {
+func TestEngineArtifactsCachedAndFrozen(t *testing.T) {
 	eng := newTestEngine()
 	a1, err := eng.Artifacts("cfrac")
 	if err != nil {
@@ -271,14 +271,22 @@ func TestEngineArtifactsCachedAndWarmed(t *testing.T) {
 	if a1 != a2 {
 		t.Fatal("Artifacts not cached")
 	}
-	// Warming must cover the mapper paths cells use concurrently: after
-	// it, deriving eliminated/sub-chains and cross-mapping test names
-	// is a pure map hit (chain counts stay put).
+	// Every cell and every tournament binding only reads the shared
+	// tables (Build froze them, so a write would panic): a full run of
+	// both leaves their contents exactly as Build left them.
 	trainTb, testTb := a1.TrainTrace.Table, a1.TestTrace.Table
-	nTrain, nTest := trainTb.NumChains(), testTb.NumChains()
-	warmArtifacts(a1)
-	if trainTb.NumChains() != nTrain || testTb.NumChains() != nTest {
-		t.Fatalf("second warm interned new chains: train %d->%d test %d->%d",
-			nTrain, trainTb.NumChains(), nTest, testTb.NumChains())
+	nTrain, fTrain := trainTb.NumChains(), trainTb.NumFuncs()
+	nTest, fTest := testTb.NumChains(), testTb.NumFuncs()
+	if _, err := eng.Run(Spec{Programs: []string{"cfrac"}, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RunTournament(TournamentSpec{Programs: []string{"cfrac"}, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if trainTb.NumChains() != nTrain || trainTb.NumFuncs() != fTrain ||
+		testTb.NumChains() != nTest || testTb.NumFuncs() != fTest {
+		t.Fatalf("shared tables changed: train chains %d->%d funcs %d->%d, test chains %d->%d funcs %d->%d",
+			nTrain, trainTb.NumChains(), fTrain, trainTb.NumFuncs(),
+			nTest, testTb.NumChains(), fTest, testTb.NumFuncs())
 	}
 }

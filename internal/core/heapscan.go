@@ -65,14 +65,14 @@ func newHeapScanner(col *obs.Collector, w heapsim.Walker) *heapScanner {
 		col:         col,
 		w:           w,
 		bins:        col.HeatmapBins(),
-		scans:       col.Counter("heap.scan_samples"),
-		livePayload: col.Gauge("heap.live_payload_bytes"),
-		headerOv:    col.Gauge("heap.header_bytes"),
-		internal:    col.Gauge("heap.internal_frag_bytes"),
-		external:    col.Gauge("heap.external_frag_bytes"),
-		holes:       col.Gauge("heap.hole_bytes"),
-		freeSpans:   col.Gauge("heap.free_spans"),
-		largestFree: col.Gauge("heap.largest_free_span_bytes"),
+		scans:       col.Counter(obs.HeapScanSamples),
+		livePayload: col.Gauge(obs.HeapLivePayloadBytes),
+		headerOv:    col.Gauge(obs.HeapHeaderBytes),
+		internal:    col.Gauge(obs.HeapInternalFragBytes),
+		external:    col.Gauge(obs.HeapExternalFragBytes),
+		holes:       col.Gauge(obs.HeapHoleBytes),
+		freeSpans:   col.Gauge(obs.HeapFreeSpans),
+		largestFree: col.Gauge(obs.HeapLargestFreeSpanBytes),
 		regions:     make(map[string]*regionObs),
 	}
 	sc.cells = make([]int64, sc.bins)

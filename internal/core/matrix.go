@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/callchain"
 	"repro/internal/heapsim"
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -14,8 +13,9 @@ import (
 )
 
 // AllocatorNames lists the simulators RunSim drives by name, in report
-// order. (SiteArena needs the sited replay loop and is not part of the
-// standard matrix.)
+// order. (SiteArena is driven by the profile-aware callers — the
+// tournament and the per-site ablation — and is not part of the standard
+// matrix.)
 var AllocatorNames = []string{"firstfit", "bestfit", "bsd", "arena", "segfit"}
 
 // PredictorModes are the prediction configurations a matrix job can ask
@@ -132,21 +132,13 @@ type MatrixRunner struct {
 	cfg Config
 
 	mu     sync.Mutex
-	arts   map[string]*artEntry
 	models map[string]*modelEntry
-}
-
-type artEntry struct {
-	once sync.Once
-	art  *Artifacts
-	err  error
 }
 
 // modelEntry is the per-model shared state: predictors and the test
 // event count, built once under the sync.Once. The predictors' chain
-// tables are pre-warmed against a scratch Test table during build, so
-// the concurrent per-job mappers only ever hit read-only lookups on the
-// shared tables (callchain.Table is not itself goroutine-safe).
+// tables are frozen once trained; each job binds them to its own Test
+// table, and binding only reads the shared side.
 type modelEntry struct {
 	once       sync.Once
 	truePred   *profile.Predictor
@@ -159,29 +151,8 @@ type modelEntry struct {
 func NewMatrixRunner(cfg Config) *MatrixRunner {
 	return &MatrixRunner{
 		cfg:    cfg,
-		arts:   make(map[string]*artEntry),
 		models: make(map[string]*modelEntry),
 	}
-}
-
-// Artifacts returns the (cached) fully materialized artifacts for a
-// model — traces, objects, and databases. Matrix jobs do not need them
-// (Run is fully streaming); this exists for table-rendering tools that
-// work over annotated object lists.
-func (r *MatrixRunner) Artifacts(model string) (*Artifacts, error) {
-	m := synth.ByName(model)
-	if m == nil {
-		return nil, fmt.Errorf("core: unknown model %q", model)
-	}
-	r.mu.Lock()
-	e, ok := r.arts[model]
-	if !ok {
-		e = &artEntry{}
-		r.arts[model] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() { e.art, e.err = r.cfg.Build(m) })
-	return e.art, e.err
 }
 
 // model returns the (cached) streaming-trained per-model state.
@@ -211,6 +182,7 @@ func (e *modelEntry) build(cfg Config, m *synth.Model) {
 		if err != nil {
 			return nil, err
 		}
+		db.Table.Freeze()
 		return db.Predictor(), nil
 	}
 	if e.truePred, e.err = train(synth.Train); e.err != nil {
@@ -221,23 +193,6 @@ func (e *modelEntry) build(cfg Config, m *synth.Model) {
 	}
 	if e.testEvents, e.err = m.CountEvents(cfg.genConfig(synth.Test)); e.err != nil {
 		return
-	}
-	// Pre-warm the shared predictor tables: map every chain a Test
-	// replay can present (the per-job tables are deterministic copies of
-	// this scratch table) so the site chains and their function names
-	// are interned now, while we are still single-threaded. Concurrent
-	// jobs then only perform read-only lookups on the shared tables.
-	src, err := m.Source(cfg.genConfig(synth.Test))
-	if err != nil {
-		e.err = err
-		return
-	}
-	tb := src.Table()
-	for _, p := range []*profile.Predictor{e.truePred, e.selfPred} {
-		mapper := p.NewMapper(tb)
-		for id := 1; id < tb.NumChains(); id++ {
-			mapper.PredictShort(callchain.ChainID(id), 0)
-		}
 	}
 }
 

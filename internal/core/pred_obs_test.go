@@ -169,9 +169,9 @@ func TestPredTrackingSited(t *testing.T) {
 		t.Fatalf("Train: %v", err)
 	}
 	col := obs.NewCollector(obs.Options{Label: "hand/sited"})
-	res, err := RunSimSited(test, heapsim.NewSiteArena(), pred.Predictor(), col)
+	res, err := RunSim(test, heapsim.NewSiteArena(), pred.Predictor(), col)
 	if err != nil {
-		t.Fatalf("RunSimSited: %v", err)
+		t.Fatalf("RunSim: %v", err)
 	}
 	s := res.Obs
 	for name, want := range map[string]int64{
@@ -181,5 +181,28 @@ func TestPredTrackingSited(t *testing.T) {
 		if got := s.Counters[name]; got != want {
 			t.Errorf("counter %s = %d, want %d", name, got, want)
 		}
+	}
+}
+
+// TestSitedRouteNeedsSiteKeys pins that a SiteArena replay refuses an
+// oracle with no site keys (here a quantile policy bound to its own
+// table, which BindOracle returns unwrapped) instead of quietly placing
+// every predicted-short object through one shared pool. The same oracle
+// still drives a non-sited allocator.
+func TestSitedRouteNeedsSiteKeys(t *testing.T) {
+	train, _, _, _, _ := handTraces(t)
+	db, err := profile.Train(train, profile.DefaultConfig())
+	if err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	bound := profile.BindOracle(profile.NewQuantileOracle(db, profile.QuantileConfig{}), train.Table)
+	if _, err := RunSimOracle(trace.NewSliceSource(train), heapsim.NewSiteArena(), bound); err == nil {
+		t.Fatal("SiteArena replay with a keyless oracle: want error")
+	}
+	if _, err := RunSimOracleScalar(trace.NewSliceSource(train), heapsim.NewSiteArena(), bound); err == nil {
+		t.Fatal("scalar SiteArena replay with a keyless oracle: want error")
+	}
+	if _, err := RunSimOracle(trace.NewSliceSource(train), heapsim.NewFirstFit(), bound); err != nil {
+		t.Fatalf("firstfit replay: %v", err)
 	}
 }

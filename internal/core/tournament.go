@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/callchain"
 	"repro/internal/heapsim"
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -19,8 +18,8 @@ import (
 // This file is the tournament runner: every registered prediction policy
 // (the profile zoo) crossed with every simulated allocator, replayed over
 // each program's Test input, scored, and ranked. It reuses the engine's
-// per-program Artifacts cache — one build and one warm per program no
-// matter how many policy × allocator cells run — and the same bounded
+// per-program Artifacts cache — one build per program no matter how
+// many policy × allocator cells run — and the same bounded
 // worker pool + deterministic-assembly discipline as Engine.Run, so the
 // rendered report is byte-identical at any worker count.
 
@@ -145,67 +144,11 @@ type TournamentResult struct {
 	Wall   time.Duration
 }
 
-// siteKeyer is the routing face a sited replay needs: the mapped site
-// key (in the oracle's own table) plus the admit verdict per allocation.
-// Both *profile.Mapper and *profile.SiteMapper implement it, so every
-// cross-table binding BindOracle produces can route a SiteArena.
-type siteKeyer interface {
-	Site(raw callchain.ChainID, size int64) (profile.SiteKey, bool)
-}
-
-// runSimSitedOracle is RunSimSited generalized over the policy zoo:
-// predicted-short allocations route to their site's own pool, with the
-// pool identity folded from the oracle-side site key exactly as the
-// paper-predictor sited replay does.
-func runSimSitedOracle(tr *trace.Trace, alloc *heapsim.SiteArena, keyer siteKeyer, oracle profile.Oracle, col *obs.Collector) (SimResult, error) {
-	var ot *obsTracker
-	if col != nil {
-		ot = newObsTracker(col, alloc, len(tr.Events), oracle.ShortThreshold())
-	}
-	res := SimResult{}
-	for i, ev := range tr.Events {
-		short := false
-		switch ev.Kind {
-		case trace.KindAlloc:
-			var key profile.SiteKey
-			key, short = keyer.Site(ev.Chain, ev.Size)
-			var err error
-			if short {
-				id := (uint64(key.Chain)+1)*0x9e3779b97f4a7c15 ^
-					uint64(key.Size)*0xc2b2ae3d27d4eb4f
-				err = alloc.AllocAt(ev.Obj, ev.Size, id)
-			} else {
-				err = alloc.Alloc(ev.Obj, ev.Size, false)
-			}
-			if err != nil {
-				return res, fmt.Errorf("core: event %d: %w", i, err)
-			}
-			res.TotalAllocs++
-			res.TotalBytes += ev.Size
-		case trace.KindFree:
-			if err := alloc.Free(ev.Obj); err != nil {
-				return res, fmt.Errorf("core: event %d: %w", i, err)
-			}
-		default:
-			return res, fmt.Errorf("core: event %d: bad kind %d", i, ev.Kind)
-		}
-		if ot != nil {
-			ot.step(ev, short)
-		}
-	}
-	finishSim(&res, alloc)
-	res.PinnedArenas = alloc.PinnedPools()
-	if ot != nil {
-		res.Obs = ot.finish(tr.Program, tr.Table)
-	}
-	return res, nil
-}
-
 // runTournamentCell replays one cell: bind the policy's oracle to the
 // Test table (a fresh mapper per cell — mappers memoize and are not
-// goroutine-safe; the shared tables were pre-warmed by warmArtifacts so
-// binding only performs read-only lookups), drive a fresh allocator, and
-// score the snapshot.
+// goroutine-safe; binding only reads the frozen shared tables), drive a
+// fresh allocator, and score the snapshot. A binding without site keys
+// fails the sitearena cell: RunSimOracle will not route it.
 func runTournamentCell(a *Artifacts, policy string, oracle profile.Oracle, allocName string) (TournamentCell, error) {
 	cell := TournamentCell{Program: a.Model.Name, Policy: policy, Allocator: allocName}
 	alloc, err := newTournamentAllocator(allocName, a)
@@ -214,16 +157,7 @@ func runTournamentCell(a *Artifacts, policy string, oracle profile.Oracle, alloc
 	}
 	bound := profile.BindOracle(oracle, a.TestTrace.Table)
 	col := obs.NewCollector(obs.Options{Label: a.Model.Name + "/" + policy + "/" + allocName})
-	var res SimResult
-	if sa, ok := alloc.(*heapsim.SiteArena); ok {
-		keyer, ok := bound.(siteKeyer)
-		if !ok {
-			return cell, fmt.Errorf("policy %s binding %T cannot route a sited arena", policy, bound)
-		}
-		res, err = runSimSitedOracle(a.TestTrace, sa, keyer, bound, col)
-	} else {
-		res, err = RunSimOracle(trace.NewSliceSource(a.TestTrace), alloc, bound, col)
-	}
+	res, err := RunSimOracle(trace.NewSliceSource(a.TestTrace), alloc, bound, col)
 	if err != nil {
 		return cell, err
 	}
@@ -242,9 +176,8 @@ func runTournamentCell(a *Artifacts, policy string, oracle profile.Oracle, alloc
 
 // RunTournament gates, schedules, scores, and ranks the full policy ×
 // allocator matrix over the spec's programs. Per program the build and
-// all policy training run single-threaded (chain tables are not
-// goroutine-safe); the cells then fan out on the worker pool, and the
-// report is assembled in fixed order afterwards.
+// all policy training run in one worker slot; the cells then fan out on
+// the worker pool, and the report is assembled in fixed order afterwards.
 func (e *Engine) RunTournament(spec TournamentSpec) (*TournamentResult, error) {
 	start := time.Now()
 	progress := spec.Progress

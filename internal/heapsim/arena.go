@@ -117,8 +117,8 @@ func (a *Arena) Observe(col *obs.Collector) {
 // in an arena when possible.
 func (a *Arena) Alloc(id trace.ObjectID, size int64, predictedShort bool) error {
 	a.init()
-	if size <= 0 {
-		return fmt.Errorf("heapsim: non-positive allocation size %d", size)
+	if err := checkSize(size); err != nil {
+		return err
 	}
 	a.ops.PredChecks++
 	if !predictedShort || size > a.ArenaSize {

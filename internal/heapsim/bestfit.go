@@ -42,25 +42,27 @@ func (b *BestFit) Observe(col *obs.Collector) {
 // Alloc implements Allocator; the predictedShort hint is ignored.
 func (b *BestFit) Alloc(id trace.ObjectID, size int64, _ bool) error {
 	b.init()
-	if size <= 0 {
-		return fmt.Errorf("heapsim: non-positive allocation size %d", size)
+	if err := checkSize(size); err != nil {
+		return err
 	}
 	if _, dup := b.ff.live.get(id); dup {
 		return errDoubleAlloc(b.ff.name, id)
 	}
-	b.ff.ops.Allocs++
-	b.ff.ops.FFAllocs++
 	need := align(size+b.ff.Header, b.ff.Align)
 
 	probesBefore := b.ff.ops.FFProbes
 	blk := b.search(need)
 	if blk == nil {
-		b.ff.extend(need)
+		if err := b.ff.extend(need); err != nil {
+			return err
+		}
 		blk = b.search(need)
 		if blk == nil {
 			return fmt.Errorf("heapsim: internal error: no fit after extend for %d bytes", need)
 		}
 	}
+	b.ff.ops.Allocs++
+	b.ff.ops.FFAllocs++
 	if b.ff.obs != nil {
 		b.ff.obs.searchLen.Observe(b.ff.ops.FFProbes - probesBefore)
 		b.ff.obs.allocSize.Observe(size)

@@ -1,7 +1,6 @@
 package heapsim
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/obs"
@@ -99,25 +98,22 @@ func (b *BSD) bucketFor(size int64) int {
 // Alloc implements Allocator; predictedShort is ignored.
 func (b *BSD) Alloc(id trace.ObjectID, size int64, _ bool) error {
 	b.init()
-	if size <= 0 {
-		return fmt.Errorf("heapsim: non-positive allocation size %d", size)
+	if err := checkSize(size); err != nil {
+		return err
 	}
 	if _, dup := b.live.get(id); dup {
 		return errDoubleAlloc("bsd", id)
 	}
 	bucket := b.bucketFor(size)
-	b.ops.Allocs++
-	b.ops.BSDBucketSum += int64(bucket)
-	if b.obs != nil {
-		b.obs.buckets.Observe(int64(bucket))
-	}
-
 	list := b.freeLists[bucket]
 	if len(list) == 0 {
 		// Carve a slab into chunks of this class.
-		b.ops.BSDCarves++
 		chunk := int64(1) << bucket
 		slab := align(chunk, b.PageSize)
+		if err := checkGrowth("bsd", b.heapEnd, slab); err != nil {
+			return err
+		}
+		b.ops.BSDCarves++
 		if b.obs != nil {
 			b.obs.carves.Inc()
 			b.obs.col.Emit(obs.EvHeapGrow, slab)
@@ -127,6 +123,11 @@ func (b *BSD) Alloc(id trace.ObjectID, size int64, _ bool) error {
 		for a := start; a+chunk <= start+slab; a += chunk {
 			list = append(list, a)
 		}
+	}
+	b.ops.Allocs++
+	b.ops.BSDBucketSum += int64(bucket)
+	if b.obs != nil {
+		b.obs.buckets.Observe(int64(bucket))
 	}
 	addr := list[len(list)-1]
 	b.freeLists[bucket] = list[:len(list)-1]

@@ -1,8 +1,6 @@
 package heapsim
 
 import (
-	"fmt"
-
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -106,8 +104,8 @@ func (c *Custom) Observe(col *obs.Collector) {
 // Alloc implements Allocator; the predictedShort hint is ignored.
 func (c *Custom) Alloc(id trace.ObjectID, size int64, _ bool) error {
 	c.init()
-	if size <= 0 {
-		return fmt.Errorf("heapsim: non-positive allocation size %d", size)
+	if err := checkSize(size); err != nil {
+		return err
 	}
 	if _, dup := c.live[id]; dup {
 		return errDoubleAlloc("custom", id)
@@ -122,12 +120,14 @@ func (c *Custom) Alloc(id trace.ObjectID, size int64, _ bool) error {
 		c.ops.GeneralBytes += size
 		return nil
 	}
-	c.ops.Allocs++
 	if len(class.free) == 0 {
 		// Carve a slab into exact-size chunks (no headers: the size is
 		// implied by the owning list, one of CUSTOMALLOC's savings).
-		c.ops.BSDCarves++
 		slab := align(rs, c.SlabSize)
+		if err := checkGrowth("custom", c.heapEnd, slab); err != nil {
+			return err
+		}
+		c.ops.BSDCarves++
 		if c.obs != nil {
 			c.obs.carves.Inc()
 			c.obs.col.Emit(obs.EvHeapGrow, slab)
@@ -138,6 +138,7 @@ func (c *Custom) Alloc(id trace.ObjectID, size int64, _ bool) error {
 			class.free = append(class.free, a)
 		}
 	}
+	c.ops.Allocs++
 	addr := class.free[len(class.free)-1]
 	class.free = class.free[:len(class.free)-1]
 	c.live[id] = customObj{addr: addr, size: rs, payload: size}

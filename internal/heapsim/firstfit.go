@@ -200,8 +200,11 @@ func (ff *FirstFit) freeListRemove(b *ffBlock) {
 
 // extend grows the heap by at least need bytes (in Chunk multiples),
 // merging the new space with a trailing free block when possible.
-func (ff *FirstFit) extend(need int64) {
+func (ff *FirstFit) extend(need int64) error {
 	growth := align(need, ff.Chunk)
+	if err := checkGrowth(ff.name, ff.heapEnd, growth); err != nil {
+		return err
+	}
 	ff.ops.FFExtends++
 	if ff.obs != nil {
 		ff.obs.extends.Inc()
@@ -214,7 +217,7 @@ func (ff *FirstFit) extend(need int64) {
 	}
 	if ff.tail != nil && ff.tail.free {
 		ff.tail.size += growth
-		return
+		return nil
 	}
 	b := ff.pool.get()
 	b.addr, b.size, b.free = start, growth, true
@@ -226,30 +229,33 @@ func (ff *FirstFit) extend(need int64) {
 	}
 	ff.tail = b
 	ff.freeListInsert(b)
+	return nil
 }
 
 // Alloc implements Allocator. The predictedShort hint is ignored.
 func (ff *FirstFit) Alloc(id trace.ObjectID, size int64, _ bool) error {
 	ff.init()
-	if size <= 0 {
-		return fmt.Errorf("heapsim: non-positive allocation size %d", size)
+	if err := checkSize(size); err != nil {
+		return err
 	}
 	if _, dup := ff.live.get(id); dup {
 		return errDoubleAlloc(ff.name, id)
 	}
-	ff.ops.Allocs++
-	ff.ops.FFAllocs++
 	need := align(size+ff.Header, ff.Align)
 
 	probesBefore := ff.ops.FFProbes
 	b := ff.search(need)
 	if b == nil {
-		ff.extend(need)
+		if err := ff.extend(need); err != nil {
+			return err
+		}
 		b = ff.search(need)
 		if b == nil {
 			return fmt.Errorf("heapsim: internal error: no fit after extend for %d bytes", need)
 		}
 	}
+	ff.ops.Allocs++
+	ff.ops.FFAllocs++
 	if ff.obs != nil {
 		ff.obs.searchLen.Observe(ff.ops.FFProbes - probesBefore)
 		ff.obs.allocSize.Observe(size)

@@ -98,4 +98,39 @@ func errUnknownFree(alloc string, id trace.ObjectID) error {
 	return fmt.Errorf("heapsim: %s: free of unknown object %d", alloc, id)
 }
 
+// MaxHeapBytes is the extent every simulated heap region may reach: the
+// general heap spans [0, ArenaBase), and the arena, custom-slab and
+// site-pool windows start at 2^40, 2^41 and 2^42, so a region grown past
+// 2^40 bytes would run into the next one. A request that cannot fit in
+// it, or a heap growth that would pass it, is rejected with an error
+// instead of wrapping the int64 address arithmetic.
+const MaxHeapBytes = ArenaBase
+
+// checkSize rejects a request no simulator can place. Every Alloc calls
+// it first, so the size arithmetic after it cannot overflow. It stays
+// small enough to inline; badSize builds the error off the hot path.
+func checkSize(size int64) error {
+	if size <= 0 || size > MaxHeapBytes {
+		return badSize(size)
+	}
+	return nil
+}
+
+func badSize(size int64) error {
+	if size <= 0 {
+		return fmt.Errorf("heapsim: non-positive allocation size %d", size)
+	}
+	return fmt.Errorf("heapsim: allocation size %d exceeds the %d-byte address space", size, MaxHeapBytes)
+}
+
+// checkGrowth rejects growing a heap region that currently ends at end
+// (relative to its base) by growth bytes past MaxHeapBytes.
+func checkGrowth(alloc string, end, growth int64) error {
+	if growth > MaxHeapBytes-end {
+		return fmt.Errorf("heapsim: %s: growing the heap from %d by %d bytes passes the %d-byte address space",
+			alloc, end, growth, MaxHeapBytes)
+	}
+	return nil
+}
+
 func align(n, a int64) int64 { return (n + a - 1) / a * a }

@@ -1,7 +1,6 @@
 package heapsim
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/obs"
@@ -116,25 +115,23 @@ func (s *SegFit) chunkFor(size int64) int64 {
 // CUSTOMALLOC, segregated fit optimizes placement by size, not lifetime).
 func (s *SegFit) Alloc(id trace.ObjectID, size int64, _ bool) error {
 	s.init()
-	if size <= 0 {
-		return fmt.Errorf("heapsim: non-positive allocation size %d", size)
+	if err := checkSize(size); err != nil {
+		return err
 	}
 	if _, dup := s.live.get(id); dup {
 		return errDoubleAlloc("segfit", id)
 	}
 	chunk := s.chunkFor(size)
-	s.ops.Allocs++
-	if s.obs != nil {
-		s.obs.class.Observe(chunk)
-	}
-
 	list := s.free[chunk]
 	if len(list) == 0 {
 		// Refill: small classes carve one page into equal chunks (any
 		// remainder is a permanent tail); large chunks are page-rounded
 		// already and carve exactly.
-		s.ops.SegCarves++
 		slab := align(chunk, s.PageSize)
+		if err := checkGrowth("segfit", s.heapEnd, slab); err != nil {
+			return err
+		}
+		s.ops.SegCarves++
 		if s.obs != nil {
 			s.obs.carves.Inc()
 			s.obs.col.Emit(obs.EvHeapGrow, slab)
@@ -148,6 +145,10 @@ func (s *SegFit) Alloc(id trace.ObjectID, size int64, _ bool) error {
 		if tail := start + slab - a; tail > 0 {
 			s.tails = append(s.tails, segTail{addr: a, size: tail})
 		}
+	}
+	s.ops.Allocs++
+	if s.obs != nil {
+		s.obs.class.Observe(chunk)
 	}
 	addr := list[len(list)-1]
 	s.free[chunk] = list[:len(list)-1]

@@ -151,8 +151,8 @@ func (s *SiteArena) Observe(col *obs.Collector) {
 // mapped site). Unpredicted allocations go through Alloc.
 func (s *SiteArena) AllocAt(id trace.ObjectID, size int64, site uint64) error {
 	s.init()
-	if size <= 0 {
-		return fmt.Errorf("heapsim: non-positive allocation size %d", size)
+	if err := checkSize(size); err != nil {
+		return err
 	}
 	if _, dup := s.where[id]; dup {
 		return errDoubleAlloc("sitearena", id)
@@ -247,7 +247,7 @@ func (s *SiteArena) AllocAt(id trace.ObjectID, size int64, site uint64) error {
 
 // Alloc implements Allocator: without a site key, predicted allocations
 // are keyed on a single shared pseudo-site (degenerating toward the
-// shared design); core.RunSimSited uses AllocAt instead.
+// shared design); core.RunSim routes a SiteArena through AllocAt instead.
 func (s *SiteArena) Alloc(id trace.ObjectID, size int64, predictedShort bool) error {
 	s.init()
 	if !predictedShort {
@@ -357,9 +357,9 @@ func (s *SiteArena) ArenaOccupancy() float64 {
 	return float64(used) / float64(area)
 }
 
-// PinnedPools reports how many site pools currently have every arena
-// holding a live object.
-func (s *SiteArena) PinnedPools() int {
+// PinnedArenas reports how many site pools currently have every arena
+// holding a live object (the sited counterpart of Arena.PinnedArenas).
+func (s *SiteArena) PinnedArenas() int {
 	s.init()
 	n := 0
 	for _, pool := range s.pools {

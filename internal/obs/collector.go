@@ -79,6 +79,13 @@ func NewCollector(opts Options) *Collector {
 	}
 	if opts.HeapScan {
 		c.heatmap = newHeatmapRec(opts.HeatmapBins)
+		// Register the always-on heap-scan families now, as zeros: the
+		// collector may be published, and scraped, before the replay's
+		// scanner attaches.
+		c.reg.Counter(HeapScanSamples)
+		for _, g := range heapScanGauges {
+			c.reg.Gauge(g)
+		}
 	}
 	if opts.Sink != nil {
 		c.sink = opts.Sink

@@ -7,6 +7,26 @@ import "sync"
 // clusters, narrow enough to render in a terminal.
 const DefaultHeatmapBins = 32
 
+// Names of the always-on heap-scan families: the scan counter and the
+// fragmentation-decomposition gauges every scanned replay carries,
+// whatever its allocator's regions.
+const (
+	HeapScanSamples          = "heap.scan_samples"
+	HeapLivePayloadBytes     = "heap.live_payload_bytes"
+	HeapHeaderBytes          = "heap.header_bytes"
+	HeapInternalFragBytes    = "heap.internal_frag_bytes"
+	HeapExternalFragBytes    = "heap.external_frag_bytes"
+	HeapHoleBytes            = "heap.hole_bytes"
+	HeapFreeSpans            = "heap.free_spans"
+	HeapLargestFreeSpanBytes = "heap.largest_free_span_bytes"
+)
+
+// heapScanGauges lists the always-on gauges NewCollector registers.
+var heapScanGauges = [...]string{
+	HeapLivePayloadBytes, HeapHeaderBytes, HeapInternalFragBytes,
+	HeapExternalFragBytes, HeapHoleBytes, HeapFreeSpans, HeapLargestFreeSpanBytes,
+}
+
 // maxHeatmapRows bounds a heatmap's memory the same way
 // maxTimelineSamples bounds the timeline: when full, every other row is
 // kept, so arbitrarily long runs degrade time resolution instead of

@@ -99,22 +99,8 @@ func EvaluateCCE(objs []trace.Object, p *CCEPredictor) Eval {
 		o := &objs[i]
 		k := cceKey{key: p.table.EncryptionKey(o.Chain), size: p.Config.roundSize(o.Size)}
 		seen[k] = struct{}{}
-		ev.TotalObjects++
-		ev.TotalBytes += o.Size
-		ev.TotalRefs += o.Refs
-		short := o.Lifetime < p.Config.ShortThreshold
-		if short {
-			ev.ActualShortBytes += o.Size
-		}
-		if _, ok := p.keys[k]; ok {
-			ev.PredictedBytes += o.Size
-			ev.PredictedRefs += o.Refs
-			if short {
-				ev.PredictedShortBytes += o.Size
-			} else {
-				ev.ErrorBytes += o.Size
-			}
-		}
+		_, admitted := p.keys[k]
+		ev.add(o, admitted, p.Config.ShortThreshold)
 	}
 	ev.TotalSites = len(seen)
 	ev.SitesUsed = p.NumSites()

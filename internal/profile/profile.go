@@ -278,24 +278,73 @@ func (p *Predictor) PredictShort(raw callchain.ChainID, size int64) bool {
 	return ok
 }
 
+// siteBinding maps raw chains of a foreign execution's table onto site
+// chains of an oracle's table by function name — the paper's cross-run
+// site mapping, shared by Mapper and SiteMapper. The chain is transformed
+// structurally in the foreign table (sub-chain or recursion elimination),
+// then looked up by name in the oracle's table with callchain.Table.Lookup.
+// Binding never interns into the oracle's table: a chain that table does
+// not hold is not a site, so every oracle predicts it long-lived. That
+// keeps a shared oracle table read-only under any number of concurrent
+// bindings. The memo makes the per-allocation cost a map hit.
+type siteBinding struct {
+	cfg  Config
+	from *callchain.Table
+	to   *callchain.Table
+	memo map[callchain.ChainID]boundChain
+}
+
+// boundChain is one memoized mapping: the site chain in the foreign
+// table, the same chain in the oracle's table, and whether the oracle's
+// table holds it at all.
+type boundChain struct {
+	local callchain.ChainID
+	id    callchain.ChainID
+	ok    bool
+}
+
+func newSiteBinding(cfg Config, from, to *callchain.Table) siteBinding {
+	return siteBinding{cfg: cfg, from: from, to: to, memo: make(map[callchain.ChainID]boundChain)}
+}
+
+// lookup maps one raw chain of the foreign table.
+func (b *siteBinding) lookup(raw callchain.ChainID) boundChain {
+	if bc, hit := b.memo[raw]; hit {
+		return bc
+	}
+	local := b.cfg.siteChain(b.from, raw)
+	fs := b.from.Funcs(local)
+	names := make([]string, len(fs))
+	for i, f := range fs {
+		names[i] = b.from.FuncName(f)
+	}
+	id, ok := b.to.Lookup(names...)
+	bc := boundChain{local: local, id: id, ok: ok}
+	b.memo[raw] = bc
+	return bc
+}
+
+// key returns the site key, in the oracle's table, of one foreign
+// allocation; ok is false when the oracle's table lacks its chain.
+func (b *siteBinding) key(raw callchain.ChainID, size int64) (SiteKey, bool) {
+	bc := b.lookup(raw)
+	return SiteKey{Chain: bc.id, Size: b.cfg.roundSize(size)}, bc.ok
+}
+
 // Mapper translates chains from another execution's table into the
-// predictor's table by function name — the paper's cross-run site mapping.
-// It memoizes per raw chain, so the per-allocation cost is a map hit.
+// predictor's table by function name — the paper's cross-run site mapping
+// (see siteBinding for the "absent means not a site" rule).
 type Mapper struct {
-	p     *Predictor
-	from  *callchain.Table
-	memo  map[callchain.ChainID]callchain.ChainID // raw from-chain -> site chain in p.table
-	hits  map[SiteKey]int64                       // predictor sites that matched
-	total int64
+	p    *Predictor
+	bind siteBinding
+	hits map[SiteKey]struct{} // predictor sites that matched
 
 	// decisions memoizes the final PredictShort outcome per (raw chain,
 	// rounded size) pair, packed into one 64-bit key, so the replay's
 	// per-alloc cost is a single map probe instead of chain mapping plus
-	// a 16-byte-key site lookup. A cached hit only bumps total: the
-	// first occurrence of each pair went through the slow path, which
-	// already recorded the site in hits, and only the number of distinct
-	// matched sites (SitesMatched) is observable. Rounded sizes that
-	// do not fit 32 bits bypass the cache.
+	// a 16-byte-key site lookup. The first occurrence of each pair went
+	// through the slow path, which already recorded its site in hits.
+	// Rounded sizes that do not fit 32 bits bypass the cache.
 	decisions map[uint64]bool
 }
 
@@ -303,30 +352,10 @@ type Mapper struct {
 func (p *Predictor) NewMapper(from *callchain.Table) *Mapper {
 	return &Mapper{
 		p:         p,
-		from:      from,
-		memo:      make(map[callchain.ChainID]callchain.ChainID),
-		hits:      make(map[SiteKey]int64),
+		bind:      newSiteBinding(p.Config, from, p.table),
+		hits:      make(map[SiteKey]struct{}),
 		decisions: make(map[uint64]bool),
 	}
-}
-
-// siteChainFrom maps a raw chain in the foreign table to the transformed
-// site chain interned in the predictor's table.
-func (m *Mapper) siteChainFrom(raw callchain.ChainID) callchain.ChainID {
-	if mapped, ok := m.memo[raw]; ok {
-		return mapped
-	}
-	// Transform in the foreign table first (sub-chain / elimination are
-	// structural), then re-intern by name in the predictor's table.
-	transformed := m.p.Config.siteChain(m.from, raw)
-	fs := m.from.Funcs(transformed)
-	names := make([]string, len(fs))
-	for i, f := range fs {
-		names[i] = m.from.FuncName(f)
-	}
-	mapped := m.p.table.InternNames(names...)
-	m.memo[raw] = mapped
-	return mapped
 }
 
 // PredictShort reports the prediction for an allocation observed in the
@@ -336,7 +365,6 @@ func (m *Mapper) PredictShort(raw callchain.ChainID, size int64) bool {
 	if uint64(rounded)>>32 == 0 {
 		ck := uint64(raw)<<32 | uint64(rounded)
 		if short, ok := m.decisions[ck]; ok {
-			m.total++
 			return short
 		}
 		short := m.predictSlow(raw, rounded)
@@ -349,13 +377,12 @@ func (m *Mapper) PredictShort(raw callchain.ChainID, size int64) bool {
 // predictSlow is the uncached decision: map the chain, probe the site
 // set, and record site-usage accounting.
 func (m *Mapper) predictSlow(raw callchain.ChainID, rounded int64) bool {
-	key := SiteKey{
-		Chain: m.siteChainFrom(raw),
-		Size:  rounded,
+	key, ok := m.bind.key(raw, rounded)
+	if !ok {
+		return false
 	}
-	m.total++
 	if _, ok := m.p.keys[key]; ok {
-		m.hits[key]++
+		m.hits[key] = struct{}{}
 		return true
 	}
 	return false
@@ -414,36 +441,40 @@ func Evaluate(tr *trace.Trace, p *Predictor) (Eval, error) {
 }
 
 // EvaluateObjects evaluates pre-annotated objects whose chains live in tb.
+// TotalSites counts the distinct sites of tb itself (its own transformed
+// chains), so sites the predictor's table never saw still count apart.
 func EvaluateObjects(tb *callchain.Table, objs []trace.Object, p *Predictor) Eval {
 	m := p.NewMapper(tb)
 	var ev Eval
 	seen := make(map[SiteKey]struct{})
 	for i := range objs {
 		o := &objs[i]
-		key := SiteKey{Chain: m.siteChainFrom(o.Chain), Size: p.Config.roundSize(o.Size)}
-		if _, ok := seen[key]; !ok {
-			seen[key] = struct{}{}
-		}
-		ev.TotalObjects++
-		ev.TotalBytes += o.Size
-		ev.TotalRefs += o.Refs
-		short := o.Lifetime < p.Config.ShortThreshold
-		if short {
-			ev.ActualShortBytes += o.Size
-		}
-		if m.PredictShort(o.Chain, o.Size) {
-			ev.PredictedBytes += o.Size
-			ev.PredictedRefs += o.Refs
-			if short {
-				ev.PredictedShortBytes += o.Size
-			} else {
-				ev.ErrorBytes += o.Size
-			}
-		}
+		seen[SiteKey{Chain: m.bind.lookup(o.Chain).local, Size: p.Config.roundSize(o.Size)}] = struct{}{}
+		ev.add(o, m.PredictShort(o.Chain, o.Size), p.Config.ShortThreshold)
 	}
 	ev.TotalSites = len(seen)
 	ev.SitesUsed = m.SitesMatched()
 	return ev
+}
+
+// add scores one object against the verdict its predictor gave it.
+func (ev *Eval) add(o *trace.Object, predictedShort bool, threshold int64) {
+	ev.TotalObjects++
+	ev.TotalBytes += o.Size
+	ev.TotalRefs += o.Refs
+	short := o.Lifetime < threshold
+	if short {
+		ev.ActualShortBytes += o.Size
+	}
+	if predictedShort {
+		ev.PredictedBytes += o.Size
+		ev.PredictedRefs += o.Refs
+		if short {
+			ev.PredictedShortBytes += o.Size
+		} else {
+			ev.ErrorBytes += o.Size
+		}
+	}
 }
 
 // LifetimeQuantiles returns exact quantiles of the trace's object-lifetime
@@ -522,12 +553,11 @@ func (db *DB) TopSizes(n int) []int64 {
 // foreign execution and whether that site is an admitted short-lived
 // predictor. It gives allocators that segregate per site (Hanson-style)
 // a stable identity; unlike PredictShort it does not touch the site-usage
-// accounting.
+// accounting. The key is meaningful only when the verdict is true.
 func (m *Mapper) Site(raw callchain.ChainID, size int64) (SiteKey, bool) {
-	key := SiteKey{
-		Chain: m.siteChainFrom(raw),
-		Size:  m.p.Config.roundSize(size),
+	key, ok := m.bind.key(raw, size)
+	if ok {
+		_, ok = m.p.keys[key]
 	}
-	_, ok := m.p.keys[key]
 	return key, ok
 }

@@ -9,8 +9,8 @@ import (
 // speak Oracle so the replay loops, accuracy tracker, and tournament can
 // rank them head-to-head against the paper's all-short rule. Each policy
 // decides admission per site; SiteMapper carries any of them across
-// executions by the same function-name re-interning the paper's Mapper
-// uses.
+// executions by the same read-only function-name binding the paper's
+// Mapper uses.
 
 // SiteOracle is the site-level face of a zoo predictor: a verdict per
 // SiteKey in the oracle's own chain table, plus the keying configuration
@@ -41,39 +41,19 @@ func predictVia(o SiteOracle, raw callchain.ChainID, size int64) bool {
 }
 
 // SiteMapper adapts a SiteOracle to chains from another execution's table,
-// mirroring Mapper: transform the chain structurally in the foreign table,
-// re-intern it by function name into the oracle's table, memoize the
-// mapping. Unlike Mapper it never caches final decisions — a windowed
-// oracle's admissions drift as it keeps training, so only the (stable)
-// chain mapping is safe to memoize.
+// mirroring Mapper: the same read-only binding by function name, under
+// which a chain absent from the oracle's table is not a site and predicts
+// long-lived without consulting the oracle. Unlike Mapper it never caches
+// final decisions — a windowed oracle's admissions drift as it keeps
+// training, so only the (stable) chain mapping is safe to memoize.
 type SiteMapper struct {
 	o    SiteOracle
-	from *callchain.Table
-	memo map[callchain.ChainID]callchain.ChainID
+	bind siteBinding
 }
 
 // NewSiteMapper prepares a mapper from chains interned in from onto o.
 func NewSiteMapper(o SiteOracle, from *callchain.Table) *SiteMapper {
-	return &SiteMapper{
-		o:    o,
-		from: from,
-		memo: make(map[callchain.ChainID]callchain.ChainID),
-	}
-}
-
-func (m *SiteMapper) siteChainFrom(raw callchain.ChainID) callchain.ChainID {
-	if mapped, ok := m.memo[raw]; ok {
-		return mapped
-	}
-	transformed := m.o.ProfileConfig().siteChain(m.from, raw)
-	fs := m.from.Funcs(transformed)
-	names := make([]string, len(fs))
-	for i, f := range fs {
-		names[i] = m.from.FuncName(f)
-	}
-	mapped := m.o.Table().InternNames(names...)
-	m.memo[raw] = mapped
-	return mapped
+	return &SiteMapper{o: o, bind: newSiteBinding(o.ProfileConfig(), from, o.Table())}
 }
 
 // PredictShort implements Oracle for a foreign execution's chains.
@@ -86,11 +66,8 @@ func (m *SiteMapper) PredictShort(raw callchain.ChainID, size int64) bool {
 // verdict for one allocation — the routing face sited replays need,
 // mirroring Mapper.Site.
 func (m *SiteMapper) Site(raw callchain.ChainID, size int64) (SiteKey, bool) {
-	key := SiteKey{
-		Chain: m.siteChainFrom(raw),
-		Size:  m.o.ProfileConfig().roundSize(size),
-	}
-	return key, m.o.AdmitSite(key)
+	key, ok := m.bind.key(raw, size)
+	return key, ok && m.o.AdmitSite(key)
 }
 
 // ShortThreshold implements Oracle.

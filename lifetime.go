@@ -297,10 +297,12 @@ func NewArenaAllocator() *ArenaAllocator { return heapsim.NewArena() }
 func NewSiteArenaAllocator() *SiteArenaAllocator { return heapsim.NewSiteArena() }
 
 // SimulateSited replays a trace through the per-site arena allocator,
-// routing each predicted-short allocation to its own site's pool. An
-// optional trailing ObsCollector records metrics and events.
+// routing each predicted-short allocation to its own site's pool. It is
+// Simulate with the allocator's type spelled out: Simulate routes a
+// SiteArenaAllocator the same way. An optional trailing ObsCollector
+// records metrics and events.
 func SimulateSited(tr *Trace, alloc *SiteArenaAllocator, pred *Predictor, observers ...*ObsCollector) (SimResult, error) {
-	return core.RunSimSited(tr, alloc, pred, observers...)
+	return core.RunSim(tr, alloc, pred, observers...)
 }
 
 // Simulate replays a trace through an allocator; a non-nil predictor
