@@ -14,6 +14,7 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -293,6 +294,11 @@ func (r *clusterRun) step(shard int, ev trace.Event) error {
 		}
 		gid |= trace.ObjectID(shard) << tenantShardBits
 		ev.Obj = gid
+		// Every per-tenant byte sum (admitted, rejected, live) is at most
+		// the clock, so this one check keeps all of them from wrapping.
+		if ev.Size > math.MaxInt64-r.clock {
+			return fmt.Errorf("tenant %q allocation of %d bytes overflows the byte clock at %d", st.t.ID, ev.Size, r.clock)
+		}
 		short := false
 		if st.t.Oracle != nil {
 			short = st.t.Oracle.PredictShort(ev.Chain, ev.Size)

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -444,6 +446,24 @@ func TestAdmissionSemantics(t *testing.T) {
 			t.Fatalf("PeakLive %d exceeds budget", res.PeakLive)
 		}
 	})
+}
+
+// TestByteClockOverflowIsAnError: offered bytes that would wrap the
+// shared byte clock fail the run instead of going negative, even when
+// admission rejects every allocation before it reaches the pool.
+func TestByteClockOverflowIsAnError(t *testing.T) {
+	const half = math.MaxInt64 / 2
+	tr := shardTraceEvents([]int64{half, half, half}, false)
+	res, err := Run(Config{
+		Pool: mkPool(t, "p", "firstfit"), Policy: mustPolicy(t, "round-robin"),
+		Admission: Reject, Budget: 1,
+	}, []Tenant{{ID: "a", Source: trace.NewSliceSource(tr), Events: len(tr.Events)}})
+	if err == nil {
+		t.Fatalf("expected a byte-clock overflow error, got clock %d", res.Clock)
+	}
+	if !strings.Contains(err.Error(), "overflows the byte clock") {
+		t.Fatalf("err = %v", err)
+	}
 }
 
 // shardTraceEvents builds a minimal legal trace: n allocs of the given

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/heapsim"
@@ -96,8 +95,8 @@ type MatrixConfig struct {
 	// per scenario as half the unconstrained replay's peak (self-
 	// calibrating stress).
 	Budget int64
-	// Workers caps concurrent scenarios; <= 0 means 1. Results are
-	// byte-identical at any worker count.
+	// Workers caps concurrent scenarios; values below 1 mean
+	// GOMAXPROCS. Results are byte-identical at any worker count.
 	Workers int
 }
 
@@ -148,10 +147,10 @@ type MatrixResult struct {
 	Scenarios []ScenarioResult
 }
 
-// RunMatrix runs the full policy × pool tournament. Setup (artifact
-// builds) is serial; scenario replays fan out across Workers goroutines
-// and are assembled in matrix order, so the result is byte-identical at
-// any worker count.
+// RunMatrix runs the full policy × pool tournament. The scenario replays
+// fan out on core.ForEach and are assembled in matrix order, so the
+// result is byte-identical at any worker count; each tenant model is
+// built once, on first use, through a core.Engine artifact cache.
 func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, fmt.Errorf("cluster: matrix needs at least one tenant")
@@ -190,21 +189,14 @@ func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 		pools[i] = kinds
 	}
 
-	// Serial setup: one artifact build per distinct model. Build freezes
-	// the shared chain tables, and each scenario binds its tenants' own
-	// fresh Test tables to them by read-only lookup (see profile.Mapper),
-	// which is what makes the scenario fan-out race-free.
-	arts := map[string]*core.Artifacts{}
-	for _, spec := range specs {
-		if arts[spec.Model] != nil {
-			continue
-		}
-		a, err := cfg.Core.Build(synth.ByName(spec.Model))
-		if err != nil {
-			return nil, err
-		}
-		arts[spec.Model] = a
-	}
+	// Build freezes the shared chain tables, and each scenario binds its
+	// tenants' own fresh Test tables to them by read-only lookup (see
+	// profile.Mapper), which is what makes the scenario fan-out
+	// race-free. Every tenant model passed ParseTenantSpec, so it is one
+	// of synth.All().
+	coreCfg := cfg.Core
+	coreCfg.Models = synth.All()
+	eng := core.NewEngine(coreCfg)
 
 	type cell struct{ pi, qi int }
 	var cells []cell
@@ -215,22 +207,10 @@ func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 	}
 	slots := make([]ScenarioResult, len(cells))
 	errs := make([]error, len(cells))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, c := range cells {
-		wg.Add(1)
-		go func(i int, c cell) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			slots[i], errs[i] = runScenario(cfg, specs, arts, policies[c.pi], cfg.Pools[c.qi], pools[c.qi])
-		}(i, c)
-	}
-	wg.Wait()
+	core.ForEach(cfg.Workers, len(cells), func(i int) {
+		c := cells[i]
+		slots[i], errs[i] = runScenario(cfg, specs, eng, policies[c.pi], cfg.Pools[c.qi], pools[c.qi])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -259,11 +239,15 @@ func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 
 // runScenario runs one (policy, pool) cell: unconstrained, then stressed
 // at half the unconstrained peak (or the fixed MatrixConfig budget).
-func runScenario(cfg MatrixConfig, specs []TenantSpec, arts map[string]*core.Artifacts, policy, poolSpec string, kinds []string) (ScenarioResult, error) {
+func runScenario(cfg MatrixConfig, specs []TenantSpec, eng *core.Engine, policy, poolSpec string, kinds []string) (ScenarioResult, error) {
 	replay := func(budget int64) (*Result, error) {
 		tenants := make([]Tenant, len(specs))
 		for i, spec := range specs {
-			t, err := buildTenant(cfg.Core, spec, arts[spec.Model])
+			a, err := eng.Artifacts(spec.Model)
+			if err != nil {
+				return nil, err
+			}
+			t, err := buildTenant(cfg.Core, spec, a)
 			if err != nil {
 				return nil, err
 			}

@@ -533,7 +533,7 @@ func RunSim(tr *trace.Trace, alloc heapsim.Allocator, pred *profile.Predictor, o
 }
 
 // RunSimSource replays a streaming event source through an allocator —
-// the engine behind RunSim and RunSimStream. Memory stays bounded by the
+// the engine behind RunSim and MatrixRunner.Run. Memory stays bounded by the
 // source's own state (for generated or file-backed sources, the live
 // object set), never the event count. The SimResult is identical to
 // replaying the materialized trace: same events, same table, same
@@ -1057,6 +1057,10 @@ func (c Config) Locality(a *Artifacts) (LocalityRow, error) {
 	return row, nil
 }
 
+// replayLocality replays the trace through the one replay loop with an
+// addrLog in front of the allocator, then streams the placed objects'
+// references through the cache and pager in windows of localityWindow
+// consecutive allocations.
 func replayLocality(tr *trace.Trace, alloc heapsim.Allocator, pred *profile.Predictor) (missPct, faultPct float64, pages int, err error) {
 	cache, err := locality.NewCache(256<<10, 4, 32)
 	if err != nil {
@@ -1066,68 +1070,40 @@ func replayLocality(tr *trace.Trace, alloc heapsim.Allocator, pred *profile.Pred
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	var mapper *profile.Mapper
-	if pred != nil {
-		mapper = pred.NewMapper(tr.Table)
+	log := &addrLog{Allocator: alloc}
+	if _, err := RunSim(tr, log, pred); err != nil {
+		return 0, 0, 0, fmt.Errorf("locality replay: %w", err)
 	}
-	var window []locality.Ref
-	var allRefs []locality.Ref
-	flush := func() {
+	refs, i := log.refs, 0
+	for _, ev := range tr.Events {
+		if ev.Kind == trace.KindAlloc {
+			refs[i].Refs = ev.Refs
+			i++
+		}
+	}
+	for lo := 0; lo < len(refs); lo += localityWindow {
+		window := refs[lo:min(lo+localityWindow, len(refs))]
 		locality.Replay(cache, window, localityRefsCap)
 		locality.ReplayPaged(pager, window, localityRefsCap)
-		window = window[:0]
 	}
-	for i, ev := range tr.Events {
-		switch ev.Kind {
-		case trace.KindAlloc:
-			short := false
-			if mapper != nil {
-				short = mapper.PredictShort(ev.Chain, ev.Size)
-			}
-			if err := alloc.Alloc(ev.Obj, ev.Size, short); err != nil {
-				return 0, 0, 0, fmt.Errorf("locality replay: event %d: %w", i, err)
-			}
-			addr, ok := alloc.Addr(ev.Obj)
-			if !ok {
-				return 0, 0, 0, fmt.Errorf("locality replay: object %d has no address", ev.Obj)
-			}
-			ref := locality.Ref{Addr: addr, Size: ev.Size, Refs: ev.Refs}
-			window = append(window, ref)
-			allRefs = append(allRefs, ref)
-			if len(window) >= localityWindow {
-				flush()
-			}
-		case trace.KindFree:
-			if err := alloc.Free(ev.Obj); err != nil {
-				return 0, 0, 0, fmt.Errorf("locality replay: event %d: %w", i, err)
-			}
-		}
-	}
-	flush()
 	return 100 * cache.MissRate(), 100 * pager.FaultRate(),
-		locality.WorkingSet(allRefs, 4<<10), nil
+		locality.WorkingSet(refs, 4<<10), nil
 }
 
-// RunSimStream replays a workload model's events through an allocator
-// without materializing the trace: memory stays proportional to the live
-// object set, so paper-scale (and larger) simulations run in a few
-// megabytes. The predictor, when non-nil, is consulted against the chains
-// interned on the fly. An optional trailing obs.Collector records metrics
-// as in RunSim; attaching one adds a deterministic counting dry run so the
-// snapshot carries the same 25/50/75% phase marks as the materialized
-// path — with no collector there is no pre-pass and generation stays
-// single-shot.
-func RunSimStream(m *synth.Model, gcfg synth.Config, alloc heapsim.Allocator, pred *profile.Predictor, observers ...*obs.Collector) (SimResult, error) {
-	src, err := m.Source(gcfg)
-	if err != nil {
-		return SimResult{}, err
+// addrLog records where each allocation landed, in allocation order.
+type addrLog struct {
+	heapsim.Allocator
+	refs []locality.Ref
+}
+
+func (l *addrLog) Alloc(id trace.ObjectID, size int64, predictedShort bool) error {
+	if err := l.Allocator.Alloc(id, size, predictedShort); err != nil {
+		return err
 	}
-	if pickCollector(observers) != nil {
-		n, err := m.CountEvents(gcfg)
-		if err != nil {
-			return SimResult{}, err
-		}
-		src.SetCount(n)
+	addr, ok := l.Allocator.Addr(id)
+	if !ok {
+		return fmt.Errorf("object %d has no address", id)
 	}
-	return RunSimSource(src, alloc, pred, observers...)
+	l.refs = append(l.refs, locality.Ref{Addr: addr, Size: size})
+	return nil
 }

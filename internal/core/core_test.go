@@ -264,7 +264,9 @@ func TestPaperDataComplete(t *testing.T) {
 	}
 }
 
-func TestRunSimStreamMatchesMaterialized(t *testing.T) {
+// TestStreamSourceMatchesMaterialized: a predictor-driven replay of a
+// model's streaming Source equals the replay of its materialized trace.
+func TestStreamSourceMatchesMaterialized(t *testing.T) {
 	m := synth.ByName("perl")
 	gcfg := synth.Config{Input: synth.Test, Seed: 77, Scale: 0.01}
 	tr, err := m.Generate(gcfg)
@@ -282,7 +284,11 @@ func TestRunSimStreamMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSimStream(m, gcfg, heapsim.NewFirstFit(), a.TrainPredictor)
+	src, err := m.Source(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunSimSource(src, heapsim.NewFirstFit(), a.TrainPredictor)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,11 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/synth"
 	"repro/internal/table"
 )
@@ -18,7 +16,7 @@ import (
 // locality extension and the ablation suite) as a DAG of cells: one
 // Artifacts build per program fans out first, then every requested
 // table/ablation cell of that program runs as soon as its build lands.
-// Cells execute on a bounded worker pool, and the report is assembled in
+// Cells execute on the FanOut scheduler, and the report is assembled in
 // fixed table order afterwards, so the rendered output is byte-identical
 // to a serial run at any worker count. cmd/lptables, the golden-file
 // tests, and the root benchmarks all run through here.
@@ -29,22 +27,13 @@ import (
 type Engine struct {
 	cfg  Config
 	mu   sync.Mutex
-	arts map[string]*engineArt
-}
-
-type engineArt struct {
-	once sync.Once
-	art  *Artifacts
-	err  error
+	arts map[string]func() (*Artifacts, error)
 }
 
 // NewEngine returns an engine over one experiment configuration.
 func NewEngine(cfg Config) *Engine {
-	return &Engine{cfg: cfg, arts: make(map[string]*engineArt)}
+	return &Engine{cfg: cfg, arts: make(map[string]func() (*Artifacts, error))}
 }
-
-// Config returns the engine's experiment configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // modelByName resolves a model within the engine's configured set.
 func (e *Engine) modelByName(name string) *synth.Model {
@@ -65,14 +54,13 @@ func (e *Engine) Artifacts(name string) (*Artifacts, error) {
 		return nil, fmt.Errorf("core: unknown model %q (want %s)", name, strings.Join(e.programNames(), ", "))
 	}
 	e.mu.Lock()
-	en, ok := e.arts[name]
+	build, ok := e.arts[name]
 	if !ok {
-		en = &engineArt{}
-		e.arts[name] = en
+		build = sync.OnceValues(func() (*Artifacts, error) { return e.cfg.Build(m) })
+		e.arts[name] = build
 	}
 	e.mu.Unlock()
-	en.once.Do(func() { en.art, en.err = e.cfg.Build(m) })
-	return en.art, en.err
+	return build()
 }
 
 // programNames lists the configured model names in canonical order.
@@ -117,11 +105,6 @@ type Spec struct {
 	// Workers bounds how many cells run at once; values below 1 clamp
 	// to GOMAXPROCS. The rendered output is identical at any value.
 	Workers int
-	// Collector, when non-nil, accrues the wall-clock timing families
-	// ("engine_build", "engine_cell") as cells complete, so a live
-	// scrape shows schedule progress. Timings are also always returned
-	// in the RunResult.
-	Collector *obs.Collector
 	// Progress, when non-nil, receives one human-readable line per
 	// scheduling milestone (build start/finish). Calls may come from
 	// worker goroutines; the callback must be safe for concurrent use.
@@ -185,7 +168,7 @@ func (e *Engine) selectModels(programs []string) ([]*synth.Model, error) {
 	return out, nil
 }
 
-// Run executes the spec's cells on the worker pool and renders the
+// Run executes the spec's cells on FanOut and renders the
 // report. Any build or cell error aborts the run; the first error in
 // deterministic cell order is returned (the same error a serial run
 // would hit first).
@@ -215,77 +198,45 @@ func (e *Engine) Run(spec Spec) (*RunResult, error) {
 		}
 	}
 
-	workers := spec.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	nCell := len(cells)
 	type slot struct {
-		rows  map[string][]string
-		err   error
-		begin time.Duration
-		dur   time.Duration
+		rows   map[string][]string
+		err    error
+		timing CellTiming
 	}
 	slots := make([]slot, len(models)*nCell)
-	buildBegin := make([]time.Duration, len(models))
-	buildDur := make([]time.Duration, len(models))
-	buildErr := make([]error, len(models))
+	builds := make([]CellTiming, len(models))
+	arts := make([]*Artifacts, len(models))
 
 	progress := spec.Progress
 	if progress == nil {
 		progress = func(string) {}
 	}
 
-	// The semaphore bounds how many cells hold a worker slot at once;
-	// goroutine fan-out is cheap and the DAG edges are expressed by the
-	// build goroutine launching its program's cells only after the build
-	// lands.
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for pi, m := range models {
-		pi, m := pi, m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			progress(fmt.Sprintf("building %s...", m.Name))
-			t0 := time.Now()
-			buildBegin[pi] = t0.Sub(start)
-			a, err := e.Artifacts(m.Name)
-			buildDur[pi] = time.Since(t0)
-			<-sem
-			spec.Collector.ObserveTiming("engine_build", buildDur[pi])
-			if err != nil {
-				buildErr[pi] = err
-				return
-			}
-			for ci := range cells {
-				ci := ci
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					sem <- struct{}{}
-					defer func() { <-sem }()
-					s := &slots[pi*nCell+ci]
-					s.rows = make(map[string][]string, 2)
-					add := func(tableID string, rowCells ...string) {
-						s.rows[tableID] = rowCells
-					}
-					t0 := time.Now()
-					s.begin = t0.Sub(start)
-					s.err = cells[ci].run(e.cfg, a, add)
-					s.dur = time.Since(t0)
-					spec.Collector.ObserveTiming("engine_cell", s.dur)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
+	// Each program is one group: its build is the prep, and its table
+	// cells start as soon as the build lands.
+	errs := FanOut(spec.Workers, len(models), func(pi int) (int, error) {
+		m := models[pi]
+		progress(fmt.Sprintf("building %s...", m.Name))
+		t0 := time.Now()
+		a, err := e.Artifacts(m.Name)
+		builds[pi] = CellTiming{Program: m.Name, Cell: "build", Start: t0.Sub(start), Dur: time.Since(t0)}
+		arts[pi] = a
+		return nCell, err
+	}, func(pi, ci int) {
+		s := &slots[pi*nCell+ci]
+		s.rows = make(map[string][]string, 2)
+		add := func(tableID string, rowCells ...string) {
+			s.rows[tableID] = rowCells
+		}
+		t0 := time.Now()
+		s.err = cells[ci].run(e.cfg, arts[pi], add)
+		s.timing = CellTiming{Program: models[pi].Name, Cell: cells[ci].name, Start: t0.Sub(start), Dur: time.Since(t0)}
+	})
 
 	for pi, m := range models {
-		if buildErr[pi] != nil {
-			return nil, fmt.Errorf("core: building %s: %w", m.Name, buildErr[pi])
+		if errs[pi] != nil {
+			return nil, fmt.Errorf("core: building %s: %w", m.Name, errs[pi])
 		}
 	}
 	for pi, m := range models {
@@ -324,11 +275,10 @@ func (e *Engine) Run(spec Spec) (*RunResult, error) {
 	}
 
 	timings := make([]CellTiming, 0, len(models)*(1+nCell))
-	for pi, m := range models {
-		timings = append(timings, CellTiming{Program: m.Name, Cell: "build", Start: buildBegin[pi], Dur: buildDur[pi]})
-		for ci, cd := range cells {
-			s := &slots[pi*nCell+ci]
-			timings = append(timings, CellTiming{Program: m.Name, Cell: cd.name, Start: s.begin, Dur: s.dur})
+	for pi := range models {
+		timings = append(timings, builds[pi])
+		for ci := range cells {
+			timings = append(timings, slots[pi*nCell+ci].timing)
 		}
 	}
 	return &RunResult{Output: buf.Bytes(), Timings: timings, Wall: time.Since(start)}, nil

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // engineScale keeps the scheduler tests fast enough for the -race tier
@@ -160,16 +158,14 @@ func TestEngineTableSubset(t *testing.T) {
 	}
 }
 
-func TestEngineTimingsAndCollector(t *testing.T) {
+func TestEngineTimingsAndProgress(t *testing.T) {
 	eng := newTestEngine()
-	col := obs.NewCollector(obs.Options{Label: "lptables/engine"})
 	var mu sync.Mutex
 	var msgs []string
 	res, err := eng.Run(Spec{
-		Programs:  []string{"espresso"},
-		Tables:    map[string]bool{"2": true, "5": true},
-		Workers:   2,
-		Collector: col,
+		Programs: []string{"espresso"},
+		Tables:   map[string]bool{"2": true, "5": true},
+		Workers:  2,
 		Progress: func(m string) {
 			mu.Lock()
 			msgs = append(msgs, m)
@@ -190,15 +186,15 @@ func TestEngineTimingsAndCollector(t *testing.T) {
 	if res.Timings[1].Cell != "2" || res.Timings[2].Cell != "5" {
 		t.Fatalf("cell timing order: %+v", res.Timings)
 	}
+	// A cell never starts before its program's build has landed.
+	build := res.Timings[0]
+	for _, c := range res.Timings[1:] {
+		if c.Start < build.Start+build.Dur {
+			t.Fatalf("cell %s started at %v, before its build ended at %v", c.Cell, c.Start, build.Start+build.Dur)
+		}
+	}
 	if res.CPUTime() <= 0 || res.Wall <= 0 {
 		t.Fatalf("non-positive durations: cpu=%v wall=%v", res.CPUTime(), res.Wall)
-	}
-	snap := col.Snapshot()
-	if snap.Timings["engine_build"].Count != 1 {
-		t.Fatalf("engine_build timing = %+v", snap.Timings["engine_build"])
-	}
-	if snap.Timings["engine_cell"].Count != 2 {
-		t.Fatalf("engine_cell timing = %+v", snap.Timings["engine_cell"])
 	}
 	found := false
 	mu.Lock()

@@ -126,32 +126,30 @@ func ParseMatrix(spec string) ([]MatrixJob, error) {
 // instead of the full event list. Each job then regenerates its Test
 // events through a fresh synth.Source, so replay memory is bounded by
 // the live-object set. All methods are safe for concurrent use —
-// lpserve's workers and RunAll's pool run jobs in parallel, each with
+// lpserve's workers and RunAll's fan-out run jobs in parallel, each with
 // its own collector.
 type MatrixRunner struct {
 	cfg Config
 
 	mu     sync.Mutex
-	models map[string]*modelEntry
+	models map[string]func() (*modelEntry, error)
 }
 
 // modelEntry is the per-model shared state: predictors and the test
-// event count, built once under the sync.Once. The predictors' chain
-// tables are frozen once trained; each job binds them to its own Test
-// table, and binding only reads the shared side.
+// event count, built once. The predictors' chain tables are frozen once
+// trained; each job binds them to its own Test table, and binding only
+// reads the shared side.
 type modelEntry struct {
-	once       sync.Once
 	truePred   *profile.Predictor
 	selfPred   *profile.Predictor
 	testEvents int
-	err        error
 }
 
 // NewMatrixRunner returns a runner over the given experiment config.
 func NewMatrixRunner(cfg Config) *MatrixRunner {
 	return &MatrixRunner{
 		cfg:    cfg,
-		models: make(map[string]*modelEntry),
+		models: make(map[string]func() (*modelEntry, error)),
 	}
 }
 
@@ -162,17 +160,16 @@ func (r *MatrixRunner) model(name string) (*modelEntry, error) {
 		return nil, fmt.Errorf("core: unknown model %q", name)
 	}
 	r.mu.Lock()
-	e, ok := r.models[name]
+	build, ok := r.models[name]
 	if !ok {
-		e = &modelEntry{}
-		r.models[name] = e
+		build = sync.OnceValues(func() (*modelEntry, error) { return buildModelEntry(r.cfg, m) })
+		r.models[name] = build
 	}
 	r.mu.Unlock()
-	e.once.Do(func() { e.build(r.cfg, m) })
-	return e, e.err
+	return build()
 }
 
-func (e *modelEntry) build(cfg Config, m *synth.Model) {
+func buildModelEntry(cfg Config, m *synth.Model) (*modelEntry, error) {
 	train := func(in synth.Input) (*profile.Predictor, error) {
 		src, err := m.Source(cfg.genConfig(in))
 		if err != nil {
@@ -185,15 +182,18 @@ func (e *modelEntry) build(cfg Config, m *synth.Model) {
 		db.Table.Freeze()
 		return db.Predictor(), nil
 	}
-	if e.truePred, e.err = train(synth.Train); e.err != nil {
-		return
+	e := &modelEntry{}
+	var err error
+	if e.truePred, err = train(synth.Train); err != nil {
+		return nil, err
 	}
-	if e.selfPred, e.err = train(synth.Test); e.err != nil {
-		return
+	if e.selfPred, err = train(synth.Test); err != nil {
+		return nil, err
 	}
-	if e.testEvents, e.err = m.CountEvents(cfg.genConfig(synth.Test)); e.err != nil {
-		return
+	if e.testEvents, err = m.CountEvents(cfg.genConfig(synth.Test)); err != nil {
+		return nil, err
 	}
+	return e, nil
 }
 
 // Run executes one matrix job, observing it through the optional
@@ -236,39 +236,20 @@ type MatrixResult struct {
 	Err error
 }
 
-// RunAll executes the jobs on a pool of workers goroutines (workers <= 1
-// runs serially) and returns results in job order. newCollector, when
-// non-nil, supplies each job's observer.
+// RunAll executes the jobs on FanOut's one-group form (at most workers
+// at once; values below 1 mean GOMAXPROCS) and returns results in job
+// order. newCollector, when non-nil, supplies each job's observer.
 func (r *MatrixRunner) RunAll(jobs []MatrixJob, workers int, newCollector func(MatrixJob) *obs.Collector) []MatrixResult {
 	results := make([]MatrixResult, len(jobs))
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				j := jobs[i]
-				var col *obs.Collector
-				if newCollector != nil {
-					col = newCollector(j)
-				}
-				res, err := r.Run(j, col)
-				results[i] = MatrixResult{Job: j, Res: res, Err: err}
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	ForEach(workers, len(jobs), func(i int) {
+		j := jobs[i]
+		var col *obs.Collector
+		if newCollector != nil {
+			col = newCollector(j)
+		}
+		res, err := r.Run(j, col)
+		results[i] = MatrixResult{Job: j, Res: res, Err: err}
+	})
 	return results
 }
 

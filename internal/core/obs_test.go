@@ -163,16 +163,26 @@ func TestRunSimSourceIdentity(t *testing.T) {
 	}
 }
 
-// TestObservedRunSimStream checks the streaming replay produces the
-// complete snapshot — the counting dry run supplies the event count, so
-// the quartile phase marks land exactly where the materialized path puts
-// them — and that the whole observed SimResult, snapshot included, is
-// identical to replaying the materialized trace.
-func TestObservedRunSimStream(t *testing.T) {
+// TestObservedStreamSource checks the streaming replay produces the
+// complete snapshot — the counting dry run (CountEvents, as the matrix
+// runner does it) supplies the event count, so the quartile phase marks
+// land exactly where the materialized path puts them — and that the
+// whole observed SimResult, snapshot included, is identical to replaying
+// the materialized trace.
+func TestObservedStreamSource(t *testing.T) {
 	m := synth.ByName("cfrac")
 	gcfg := synth.Config{Input: synth.Test, Seed: 7, Scale: 0.01}
+	n, err := m.CountEvents(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := m.Source(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.SetCount(n)
 	col := obs.NewCollector(obs.Options{})
-	res, err := RunSimStream(m, gcfg, heapsim.NewFirstFit(), nil, col)
+	res, err := RunSimSource(src, heapsim.NewFirstFit(), nil, col)
 	if err != nil {
 		t.Fatal(err)
 	}

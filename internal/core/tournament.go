@@ -3,9 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/heapsim"
@@ -19,9 +17,9 @@ import (
 // (the profile zoo) crossed with every simulated allocator, replayed over
 // each program's Test input, scored, and ranked. It reuses the engine's
 // per-program Artifacts cache — one build per program no matter how
-// many policy × allocator cells run — and the same bounded
-// worker pool + deterministic-assembly discipline as Engine.Run, so the
-// rendered report is byte-identical at any worker count.
+// many policy × allocator cells run — and the same FanOut scheduler and
+// deterministic assembly as Engine.Run, so the rendered report is
+// byte-identical at any worker count.
 
 // TournamentAllocators lists every simulator a tournament drives, in
 // report order: the four standard-matrix allocators plus segfit, the
@@ -96,9 +94,6 @@ type TournamentSpec struct {
 	// because check imports core for the block/scalar equivalence replay,
 	// so core cannot import check; cmd/lptables wires check.RunOracles in.
 	Gate func() error
-	// Collector, when non-nil, accrues wall-clock timing families
-	// ("tournament_cell") as cells complete.
-	Collector *obs.Collector
 	// Progress, when non-nil, receives one line per scheduling milestone.
 	// Calls may come from worker goroutines.
 	Progress func(msg string)
@@ -176,8 +171,8 @@ func runTournamentCell(a *Artifacts, policy string, oracle profile.Oracle, alloc
 
 // RunTournament gates, schedules, scores, and ranks the full policy ×
 // allocator matrix over the spec's programs. Per program the build and
-// all policy training run in one worker slot; the cells then fan out on
-// the worker pool, and the report is assembled in fixed order afterwards.
+// all policy training run as one FanOut prep; the cells then fan out,
+// and the report is assembled in fixed order afterwards.
 func (e *Engine) RunTournament(spec TournamentSpec) (*TournamentResult, error) {
 	start := time.Now()
 	progress := spec.Progress
@@ -198,65 +193,41 @@ func (e *Engine) RunTournament(spec TournamentSpec) (*TournamentResult, error) {
 	policies := OraclePolicies()
 	allocs := TournamentAllocators
 
-	workers := spec.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	nCell := len(policies) * len(allocs)
 	type slot struct {
 		cell TournamentCell
 		err  error
 	}
 	slots := make([]slot, len(models)*nCell)
-	buildErr := make([]error, len(models))
+	arts := make([]*Artifacts, len(models))
+	oracles := make([][]profile.Oracle, len(models))
 
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for pi, m := range models {
-		pi, m := pi, m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			progress(fmt.Sprintf("building %s and training %d policies...", m.Name, len(policies)))
-			a, err := e.Artifacts(m.Name)
-			oracles := make([]profile.Oracle, len(policies))
-			if err == nil {
-				for qi, p := range policies {
-					if oracles[qi], err = p.Train(a, e.cfg.Profile); err != nil {
-						err = fmt.Errorf("training %s: %w", p.Name, err)
-						break
-					}
-				}
+	// Each program is one group: the build plus every policy's training
+	// is the prep, and the policy x allocator cells are its cells.
+	errs := FanOut(spec.Workers, len(models), func(pi int) (int, error) {
+		m := models[pi]
+		progress(fmt.Sprintf("building %s and training %d policies...", m.Name, len(policies)))
+		a, err := e.Artifacts(m.Name)
+		if err != nil {
+			return 0, err
+		}
+		arts[pi] = a
+		oracles[pi] = make([]profile.Oracle, len(policies))
+		for qi, p := range policies {
+			if oracles[pi][qi], err = p.Train(a, e.cfg.Profile); err != nil {
+				return 0, fmt.Errorf("training %s: %w", p.Name, err)
 			}
-			<-sem
-			if err != nil {
-				buildErr[pi] = err
-				return
-			}
-			for qi := range policies {
-				for ai := range allocs {
-					qi, ai := qi, ai
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						sem <- struct{}{}
-						defer func() { <-sem }()
-						t0 := time.Now()
-						s := &slots[pi*nCell+qi*len(allocs)+ai]
-						s.cell, s.err = runTournamentCell(a, policies[qi].Name, oracles[qi], allocs[ai])
-						spec.Collector.ObserveTiming("tournament_cell", time.Since(t0))
-					}()
-				}
-			}
-		}()
-	}
-	wg.Wait()
+		}
+		return nCell, nil
+	}, func(pi, ci int) {
+		qi, ai := ci/len(allocs), ci%len(allocs)
+		s := &slots[pi*nCell+ci]
+		s.cell, s.err = runTournamentCell(arts[pi], policies[qi].Name, oracles[pi][qi], allocs[ai])
+	})
 
 	for pi, m := range models {
-		if buildErr[pi] != nil {
-			return nil, fmt.Errorf("core: building %s: %w", m.Name, buildErr[pi])
+		if errs[pi] != nil {
+			return nil, fmt.Errorf("core: building %s: %w", m.Name, errs[pi])
 		}
 	}
 	cells := make([]TournamentCell, 0, len(slots))

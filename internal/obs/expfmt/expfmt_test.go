@@ -122,16 +122,26 @@ func TestRoundTripMidReplay(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		m := synth.ByName("gawk")
-		_, err := core.RunSimStream(m,
-			synth.Config{Input: synth.Test, Seed: 7, Scale: 0.02},
-			core.MustNewAllocator("arena"), nil, col)
+		gcfg := synth.Config{Input: synth.Test, Seed: 7, Scale: 0.02}
+		n, err := m.CountEvents(gcfg)
+		if err != nil {
+			done <- err
+			return
+		}
+		src, err := m.Source(gcfg)
+		if err != nil {
+			done <- err
+			return
+		}
+		src.SetCount(n)
+		_, err = core.RunSimSource(src, core.MustNewAllocator("arena"), nil, col)
 		done <- err
 	}()
 	for i := 0; ; i++ {
 		select {
 		case err := <-done:
 			if err != nil {
-				t.Fatalf("RunSimStream: %v", err)
+				t.Fatalf("RunSimSource: %v", err)
 			}
 			// Final pass over the finished run.
 			roundTrip(t, col.Snapshot())
