@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/callchain"
 	"repro/internal/heapsim"
-	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -41,16 +40,13 @@ type Options struct {
 	// Stride audits the allocator state every Stride events; 1 audits
 	// after every event, 0 or negative audits only at end of trace.
 	Stride int
-	// Predict supplies the predictedShort hint; nil predicts nothing.
+	// Predict supplies the predictedShort hint, to the lockstep replays
+	// and to CheckTrace's block/scalar equivalence replay; nil predicts
+	// nothing.
 	Predict Predict
 	// DeadSample is how many recently-freed object ids the ledger
 	// retains for negative liveness probes (default 32).
 	DeadSample int
-	// Predictor, when non-nil, is threaded through the block/scalar
-	// equivalence replay (CheckBlockEquivalence) so the pred.* accuracy
-	// families are part of what must match. Unlike Predict it carries the
-	// trained site database the real replay engine consumes.
-	Predictor *profile.Predictor
 }
 
 func (o Options) deadSample() int {

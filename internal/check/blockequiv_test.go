@@ -1,11 +1,15 @@
 package check
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/callchain"
 	"repro/internal/core"
 	"repro/internal/heapsim"
+	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -42,7 +46,7 @@ func TestBlockEquivalenceAcrossModels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := CheckBlockEquivalence(tr, fs, db.Predictor()); err != nil {
+			if err := CheckBlockEquivalence(tr, fs, db.Predictor().NewMapper(tr.Table)); err != nil {
 				t.Error(err)
 			}
 		})
@@ -77,19 +81,19 @@ func TestBlockEquivalenceSiteArenaRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckBlockEquivalence(tr, fs, pred); err != nil {
+	if err := CheckBlockEquivalence(tr, fs, pred.NewMapper(tr.Table)); err != nil {
 		t.Fatal(err)
 	}
-	for name, run := range map[string]func(trace.Source, heapsim.Allocator) (core.SimResult, error){
-		"block": func(src trace.Source, a heapsim.Allocator) (core.SimResult, error) {
-			return core.RunSimSource(src, a, pred)
+	for name, run := range map[string]func(trace.Source, heapsim.Allocator, profile.Oracle) (core.SimResult, error){
+		"block": func(src trace.Source, a heapsim.Allocator, o profile.Oracle) (core.SimResult, error) {
+			return core.RunSimOracle(src, a, o)
 		},
-		"scalar": func(src trace.Source, a heapsim.Allocator) (core.SimResult, error) {
-			return core.RunSimSourceScalar(src, a, pred)
+		"scalar": func(src trace.Source, a heapsim.Allocator, o profile.Oracle) (core.SimResult, error) {
+			return replayScalar(src, a, o, nil)
 		},
 	} {
 		sa := heapsim.NewSiteArena()
-		if _, err := run(trace.NewSliceSource(tr), sa); err != nil {
+		if _, err := run(trace.NewSliceSource(tr), sa, pred.NewMapper(tr.Table)); err != nil {
 			t.Fatal(err)
 		}
 		if pools := sa.ArenaArea() / (int64(sa.ArenasPerSite) * sa.ArenaSize); pools < 2 {
@@ -126,5 +130,78 @@ func TestBlockEquivalenceCatchesDivergence(t *testing.T) {
 			t.Fatalf("block equivalence failed on a legal trace: %v", err)
 		}
 		t.Fatal(err)
+	}
+}
+
+// TestPredictDrivesEquivalence: the Options.Predict hook CheckTrace hands
+// to the equivalence replay makes real predictions there — pred.*
+// counters move and a SiteArena routes per site — and a nil hook means no
+// oracle at all.
+func TestPredictDrivesEquivalence(t *testing.T) {
+	if Predict(nil).oracle() != nil {
+		t.Fatal("nil Predict produced an oracle")
+	}
+	tr := GenTrace(11, GenConfig{Events: 400})
+	col := obs.NewCollector(obs.Options{Label: "predict"})
+	sa := heapsim.NewSiteArena()
+	if _, err := core.RunSimOracle(trace.NewSliceSource(tr), sa, GenPredict(512).oracle(), col); err != nil {
+		t.Fatal(err)
+	}
+	s := col.Snapshot()
+	if s.Counters["pred.tp_objects"]+s.Counters["pred.fp_objects"] == 0 {
+		t.Error("no allocation was predicted short")
+	}
+	if pools := sa.ArenaArea() / (int64(sa.ArenasPerSite) * sa.ArenaSize); pools < 2 {
+		t.Errorf("predicted-short objects used %d site pool(s); want a per-site route", pools)
+	}
+}
+
+// TestScalarTotalBytesOverflowFails holds the scalar reference replay to
+// the engine's overflow check: the event whose size would wrap TotalBytes
+// is rejected, at its index, with the engine's error.
+func TestScalarTotalBytesOverflowFails(t *testing.T) {
+	tb := callchain.NewTable()
+	c := tb.InternNames("main", "big")
+	size := int64(math.MaxInt64/2 + 1)
+	tr := &trace.Trace{Program: "oversize", Table: tb, Events: []trace.Event{
+		{Kind: trace.KindAlloc, Obj: 1, Size: size, Chain: c},
+		{Kind: trace.KindAlloc, Obj: 2, Size: size, Chain: c},
+	}}
+	res, err := replayScalar(trace.NewSliceSource(tr), &acceptAll{}, nil, nil)
+	if !errors.Is(err, core.ErrTotalBytes) || !strings.Contains(err.Error(), "event 1:") {
+		t.Errorf("err = %v, want the total-bytes overflow at event 1", err)
+	}
+	if res.TotalBytes != size {
+		t.Errorf("TotalBytes = %d after the rejected event", res.TotalBytes)
+	}
+}
+
+// acceptAll places every request at address 0: a stand-in allocator that
+// lets the replay's own byte accounting be driven past int64.
+type acceptAll struct{ n int64 }
+
+func (a *acceptAll) Alloc(trace.ObjectID, int64, bool) error { a.n++; return nil }
+func (a *acceptAll) Free(trace.ObjectID) error               { return nil }
+func (a *acceptAll) HeapSize() int64                         { return 0 }
+func (a *acceptAll) MaxHeapSize() int64                      { return 0 }
+func (a *acceptAll) Counts() heapsim.OpCounts                { return heapsim.OpCounts{Allocs: a.n} }
+func (a *acceptAll) Addr(trace.ObjectID) (int64, bool)       { return 0, false }
+
+// keyless predicts but has no site keys.
+type keyless struct{}
+
+func (keyless) PredictShort(callchain.ChainID, int64) bool { return true }
+func (keyless) ShortThreshold() int64                      { return 1 << 15 }
+
+// TestScalarSitedRouteNeedsSiteKeys: like the engine, the scalar
+// reference refuses to replay a SiteArena under an oracle with no site
+// keys, and replays a non-sited allocator under it.
+func TestScalarSitedRouteNeedsSiteKeys(t *testing.T) {
+	tr := GenTrace(3, GenConfig{Events: 60})
+	if _, err := replayScalar(trace.NewSliceSource(tr), heapsim.NewSiteArena(), keyless{}, nil); err == nil {
+		t.Fatal("scalar SiteArena replay with a keyless oracle: want error")
+	}
+	if _, err := replayScalar(trace.NewSliceSource(tr), heapsim.NewFirstFit(), keyless{}, nil); err != nil {
+		t.Fatalf("scalar firstfit replay: %v", err)
 	}
 }

@@ -10,9 +10,10 @@ import (
 // trace: the differential replay of every factory's allocator with
 // invariant audits on the stride, the metamorphic properties (relabel
 // invariance; arena-count monotonicity of fallbacks when a predictor is
-// in play), and the block/scalar replay equivalence — so a violation in
-// any layer, including the batched engine, shrinks to a minimal repro
-// through the same Run harness. A nil error means every layer agreed.
+// in play), and the block/scalar replay equivalence under the same
+// predictions — so a violation in any layer, including the batched
+// engine, shrinks to a minimal repro through the same Run harness. A nil
+// error means every layer agreed.
 func CheckTrace(tr *trace.Trace, fs []Factory, opt Options) error {
 	if err := Diff(trace.NewSliceSource(tr), fs, opt); err != nil {
 		return err
@@ -20,7 +21,7 @@ func CheckTrace(tr *trace.Trace, fs []Factory, opt Options) error {
 	if err := CheckRelabelInvariance(tr); err != nil {
 		return fmt.Errorf("metamorphic: %w", err)
 	}
-	if err := CheckBlockEquivalence(tr, fs, opt.Predictor); err != nil {
+	if err := CheckBlockEquivalence(tr, fs, opt.Predict.oracle()); err != nil {
 		return fmt.Errorf("blockequiv: %w", err)
 	}
 	if opt.Predict != nil {

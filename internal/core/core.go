@@ -138,21 +138,11 @@ type SimResult struct {
 	Obs *obs.Snapshot
 }
 
-// pickCollector resolves the optional trailing collector argument the
-// replay functions accept.
-func pickCollector(observers []*obs.Collector) *obs.Collector {
-	for _, c := range observers {
-		if c != nil {
-			return c
-		}
-	}
-	return nil
-}
-
-// finishSim fills a replay's aggregate fields from the allocator's final
-// state (shared by the nil-collector and observed paths, so both produce
-// identical values).
-func finishSim(res *SimResult, alloc heapsim.Allocator) {
+// FinishSim fills a replay's aggregate fields from the allocator's final
+// state. Every replay loop calls it — RunSimOracle, the check package's
+// scalar reference, the cluster simulator's per-tenant results — so all
+// of them derive these fields identically.
+func FinishSim(res *SimResult, alloc heapsim.Allocator) {
 	res.MaxHeap = alloc.MaxHeapSize()
 	res.Counts = alloc.Counts()
 	if res.TotalAllocs > 0 {
@@ -165,11 +155,6 @@ func finishSim(res *SimResult, alloc heapsim.Allocator) {
 		res.PinnedArenas = ar.PinnedArenas()
 	}
 }
-
-// FinishSim exposes finishSim for replay loops built outside this package
-// on the same SimResult vocabulary — the cluster simulator fills
-// per-tenant results from a shared pool allocator through it.
-func FinishSim(res *SimResult, alloc heapsim.Allocator) { finishSim(res, alloc) }
 
 // allocatorName labels the built-in simulators for snapshots. Composed
 // allocators (heapsim.Pool) carry their own label via the AllocatorName
@@ -211,13 +196,18 @@ const maxObsSites = 50
 // terabyte of allocation before the overflow bucket engages.
 const predLifetimeBuckets = 40
 
-// obsTracker carries the replay-side observability state: the
+// ReplayTracker carries the replay-side observability state: the
 // bytes-allocated clock, the live set (for live-bytes timelines and for
 // scoring each alloc-time prediction against the actual lifetime observed
 // at free time), phase boundaries, and the per-site rankings. It exists
 // only when a collector is attached, so the nil-collector replay path pays
-// a single pointer compare per event.
-type obsTracker struct {
+// a single pointer compare per event. Replay loops outside this package
+// (the cluster simulator steps one tracker per tenant) drive it with the
+// calls RunSimOracle makes, so their snapshots are field for field what a
+// solo replay would produce.
+//
+// A nil *ReplayTracker is valid and inert.
+type ReplayTracker struct {
 	col   *obs.Collector
 	alloc heapsim.Allocator
 	occ   occupancyReporter // nil for non-arena allocators
@@ -276,14 +266,19 @@ type predSiteAgg struct {
 	fnObjects, fnBytes         int64
 }
 
-// newObsTracker attaches the collector to the allocator (when it is
-// Observable) and prepares the replay-side state. thr is the short-lifetime
-// threshold the replay's predictions are scored against.
-func newObsTracker(col *obs.Collector, alloc heapsim.Allocator, nEvents int, thr int64) *obsTracker {
+// NewReplayTracker prepares a tracker on the given collector, attaching
+// it to the allocator when the allocator is Observable. nEvents drives
+// the 25/50/75% phase marks (pass 0 when unknown); thr is the
+// byte-lifetime boundary predictions are scored against, normally the
+// driving oracle's ShortThreshold. A nil collector returns a nil tracker.
+func NewReplayTracker(col *obs.Collector, alloc heapsim.Allocator, nEvents int, thr int64) *ReplayTracker {
+	if col == nil {
+		return nil
+	}
 	if o, ok := alloc.(heapsim.Observable); ok {
 		o.Observe(col)
 	}
-	t := &obsTracker{
+	t := &ReplayTracker{
 		col:        col,
 		alloc:      alloc,
 		live:       make(map[trace.ObjectID]liveObj),
@@ -315,10 +310,15 @@ func newObsTracker(col *obs.Collector, alloc heapsim.Allocator, nEvents int, thr
 	return t
 }
 
-// step observes one replayed event (after the allocator accepted it).
-// short is the prediction the replay loop made for an alloc event; it is
-// ignored for frees.
-func (t *obsTracker) step(ev trace.Event, short bool) {
+// Step observes one replayed event after the allocator accepted it.
+// short is the oracle's verdict for an alloc event and ignored for frees.
+// Stepping a free of an object the tracker never saw is a counted no-op;
+// the cluster relies on this for frees of rejected objects and for the
+// real free arriving after an eviction.
+func (t *ReplayTracker) Step(ev trace.Event, short bool) {
+	if t == nil {
+		return
+	}
 	switch ev.Kind {
 	case trace.KindAlloc:
 		born := t.clock
@@ -363,7 +363,7 @@ func (t *obsTracker) step(ev trace.Event, short bool) {
 // trace.Annotate), updating the confusion matrix, the lifetime histograms
 // split by predicted class, the per-site misprediction attribution, and
 // the rolling-accuracy channel.
-func (t *obsTracker) score(lo liveObj, lifetime int64) {
+func (t *ReplayTracker) score(lo liveObj, lifetime int64) {
 	actualShort := lifetime < t.thr
 	correct := lo.short == actualShort
 	switch {
@@ -402,7 +402,7 @@ func (t *obsTracker) score(lo liveObj, lifetime int64) {
 	}
 }
 
-func (t *obsTracker) predSite(chain callchain.ChainID) *predSiteAgg {
+func (t *ReplayTracker) predSite(chain callchain.ChainID) *predSiteAgg {
 	ps := t.predSites[chain]
 	if ps == nil {
 		ps = &predSiteAgg{}
@@ -412,7 +412,7 @@ func (t *obsTracker) predSite(chain callchain.ChainID) *predSiteAgg {
 }
 
 // sample records one timeline point from the current replay state.
-func (t *obsTracker) sample() {
+func (t *ReplayTracker) sample() {
 	s := obs.Sample{
 		Clock:              t.clock,
 		LiveBytes:          t.liveBytes,
@@ -439,11 +439,14 @@ func (t *obsTracker) sample() {
 	t.col.RecordSample(s)
 }
 
-// finish scores the never-freed objects (their lifetime extends to the end
+// Finish scores the never-freed objects (their lifetime extends to the end
 // of the run, matching trace.Annotate), takes the end-of-run sample and
-// phase mark, ranks the site tables, and freezes the snapshot. The chain
-// table renders site labels.
-func (t *obsTracker) finish(program string, tb *callchain.Table) *obs.Snapshot {
+// phase mark, ranks the site tables, and freezes the snapshot — nil for a
+// nil tracker. The chain table renders site labels.
+func (t *ReplayTracker) Finish(program string, tb *callchain.Table) *obs.Snapshot {
+	if t == nil {
+		return nil
+	}
 	// Draining the live map in arbitrary order is fine: every scoring
 	// update is a commutative accumulation (counter adds, histogram
 	// observations, per-site sums), so the result is order-independent.
@@ -486,7 +489,7 @@ func (t *obsTracker) finish(program string, tb *callchain.Table) *obs.Snapshot {
 // fragmentation failure mode), then false-positive bytes, then
 // false-negative bytes, chain id as the deterministic tie-break, capped at
 // maxObsSites like the allocation ranking.
-func (t *obsTracker) rankPredSites(tb *callchain.Table) []obs.PredSite {
+func (t *ReplayTracker) rankPredSites(tb *callchain.Table) []obs.PredSite {
 	chains := make([]callchain.ChainID, 0, len(t.predSites))
 	for id := range t.predSites {
 		chains = append(chains, id)
@@ -554,11 +557,18 @@ func RunSimSource(src trace.Source, alloc heapsim.Allocator, pred *profile.Predi
 // per-allocation short/long hint and the threshold its accuracy is scored
 // against. The oracle must already speak the source's chain table. A
 // *heapsim.SiteArena driven by an oracle with site keys (every Mapper and
-// SiteMapper) gets per-site placement; see siteRoute.
+// SiteMapper) gets per-site placement; see Placement.
 func RunSimOracle(src trace.Source, alloc heapsim.Allocator, oracle profile.Oracle, observers ...*obs.Collector) (SimResult, error) {
-	ot := trackerFor(src, alloc, oracle, observers)
+	var col *obs.Collector
+	for _, c := range observers {
+		if c != nil {
+			col = c
+			break
+		}
+	}
+	rt := NewSourceTracker(src, alloc, oracle, col)
 	res := SimResult{}
-	route, err := routeFor(alloc, oracle)
+	place, err := NewPlacement(alloc, oracle)
 	if err != nil {
 		return res, err
 	}
@@ -570,7 +580,7 @@ func RunSimOracle(src trace.Source, alloc heapsim.Allocator, oracle profile.Orac
 	// indices in errors stay global (base counts completed blocks), and
 	// the tracker still steps per event, so phase marks, timeline
 	// cadence, and prediction scoring land on exactly the same events as
-	// the scalar reference replay.
+	// the scalar reference replay in package check.
 	bs := trace.AsBlockSource(src)
 	blk := trace.NewEventBlock(trace.DefaultBlockLen)
 	for base := 0; ; base += blk.N {
@@ -587,104 +597,44 @@ func RunSimOracle(src trace.Source, alloc heapsim.Allocator, oracle profile.Orac
 			switch kinds[k] {
 			case trace.KindAlloc:
 				if sizes[k] > math.MaxInt64-res.TotalBytes {
-					return res, fmt.Errorf("core: event %d: %w", base+k, errTotalBytes)
+					return res, fmt.Errorf("core: event %d: %w", base+k, ErrTotalBytes)
 				}
-				short := false
-				if route != nil {
-					short, err = route.alloc(objs[k], sizes[k], chains[k])
-				} else {
-					if oracle != nil {
-						// The loop's own decision is reused for quality
-						// tracking; asking the oracle twice would double a
-						// mapper's site-usage accounting.
-						short = oracle.PredictShort(chains[k], sizes[k])
-					}
-					err = alloc.Alloc(objs[k], sizes[k], short)
-				}
+				short, err := place.Alloc(objs[k], sizes[k], chains[k])
 				if err != nil {
 					return res, fmt.Errorf("core: event %d: %w", base+k, err)
 				}
 				res.TotalAllocs++
 				res.TotalBytes += sizes[k]
-				if ot != nil {
-					ot.step(blk.Event(k), short)
+				if rt != nil {
+					rt.Step(blk.Event(k), short)
 				}
 			case trace.KindFree:
 				if err := alloc.Free(objs[k]); err != nil {
 					return res, fmt.Errorf("core: event %d: %w", base+k, err)
 				}
-				if ot != nil {
-					ot.step(blk.Event(k), false)
+				if rt != nil {
+					rt.Step(blk.Event(k), false)
 				}
 			default:
 				return res, fmt.Errorf("core: event %d: bad kind %d", base+k, kinds[k])
 			}
 		}
 	}
-	finishSim(&res, alloc)
-	if ot != nil {
-		res.Obs = ot.finish(src.Meta().Program, src.Table())
-	}
+	FinishSim(&res, alloc)
+	res.Obs = rt.Finish(src.Meta().Program, src.Table())
 	return res, nil
 }
 
-// errTotalBytes rejects a replay whose cumulative allocated bytes would
+// ErrTotalBytes rejects a replay whose cumulative allocated bytes would
 // overflow SimResult.TotalBytes (and the tracker's byte clock with it).
-var errTotalBytes = errors.New("total allocated bytes overflow int64")
+var ErrTotalBytes = errors.New("total allocated bytes overflow int64")
 
-// siteKeyer is the routing face a sited replay needs: the mapped site
-// key (in the oracle's own table) plus the admit verdict per allocation.
-// Both *profile.Mapper and *profile.SiteMapper implement it, so every
-// cross-table binding BindOracle produces can route a SiteArena.
-type siteKeyer interface {
-	Site(raw callchain.ChainID, size int64) (profile.SiteKey, bool)
-}
-
-// siteRoute is the per-site placement of a SiteArena replay, the
-// pollution-isolation variant explored under the paper's "further
-// exploration of algorithms" future work (see EXPERIMENTS.md): each
-// predicted-short allocation goes to its own site's pool, identified by
-// the oracle's site key.
-type siteRoute struct {
-	arena *heapsim.SiteArena
-	keyer siteKeyer
-}
-
-// routeFor picks a replay's placement once, from the allocator's type:
-// a site route for a SiteArena driven by an oracle, nil (the plain
-// predictedShort hint) for everything else. An oracle without site keys
-// cannot route a SiteArena and is an error, not a silent fallback to one
-// shared pool.
-func routeFor(alloc heapsim.Allocator, oracle profile.Oracle) (*siteRoute, error) {
-	sa, ok := alloc.(*heapsim.SiteArena)
-	if !ok || oracle == nil {
-		return nil, nil
-	}
-	keyer, ok := oracle.(siteKeyer)
-	if !ok {
-		return nil, fmt.Errorf("core: oracle %T has no site keys to route a sited arena", oracle)
-	}
-	return &siteRoute{arena: sa, keyer: keyer}, nil
-}
-
-// alloc places one allocation and returns its predicted-short verdict.
-func (r *siteRoute) alloc(obj trace.ObjectID, size int64, chain callchain.ChainID) (bool, error) {
-	key, short := r.keyer.Site(chain, size)
-	if !short {
-		return false, r.arena.Alloc(obj, size, false)
-	}
-	// Fold the site key into a stable, well-mixed 64-bit pool identity
-	// (a plain shift-xor would be congruent to the size modulo the
-	// bucket count).
-	id := (uint64(key.Chain)+1)*0x9e3779b97f4a7c15 ^ uint64(key.Size)*0xc2b2ae3d27d4eb4f
-	return true, r.arena.AllocAt(obj, size, id)
-}
-
-// trackerFor builds the replay's obsTracker when a collector is attached,
-// resolving the event count (for phase marks) and the short threshold the
-// predictions are scored against. Shared by the block and scalar replays.
-func trackerFor(src trace.Source, alloc heapsim.Allocator, oracle profile.Oracle, observers []*obs.Collector) *obsTracker {
-	col := pickCollector(observers)
+// NewSourceTracker is NewReplayTracker for a replay of src driven by
+// oracle: the event count (for phase marks) comes from src when it is
+// trace.Counted, and predictions are scored against the oracle's
+// threshold, or the profile default without one. A nil collector returns
+// a nil tracker.
+func NewSourceTracker(src trace.Source, alloc heapsim.Allocator, oracle profile.Oracle, col *obs.Collector) *ReplayTracker {
 	if col == nil {
 		return nil
 	}
@@ -698,75 +648,64 @@ func trackerFor(src trace.Source, alloc heapsim.Allocator, oracle profile.Oracle
 	if oracle != nil {
 		thr = oracle.ShortThreshold()
 	}
-	return newObsTracker(col, alloc, n, thr)
+	return NewReplayTracker(col, alloc, n, thr)
 }
 
-// RunSimSourceScalar is the one-event-at-a-time reference replay — the
-// exact loop RunSimSource ran before the columnar refactor. It is kept
-// (and exercised by the conformance harness) as the oracle the block
-// path is differentially tested against: for any source, both replays
-// must produce byte-identical SimResults and snapshots.
-func RunSimSourceScalar(src trace.Source, alloc heapsim.Allocator, pred *profile.Predictor, observers ...*obs.Collector) (SimResult, error) {
-	var oracle profile.Oracle
-	if pred != nil {
-		oracle = pred.NewMapper(src.Table())
-	}
-	return RunSimOracleScalar(src, alloc, oracle, observers...)
+// siteKeyer is the routing face a sited replay needs: the mapped site
+// key (in the oracle's own table) plus the admit verdict per allocation.
+// Both *profile.Mapper and *profile.SiteMapper implement it, so every
+// cross-table binding BindOracle produces can route a SiteArena.
+type siteKeyer interface {
+	Site(raw callchain.ChainID, size int64) (profile.SiteKey, bool)
 }
 
-// RunSimOracleScalar is the scalar reference replay generalized over the
-// prediction policy, mirroring RunSimOracle exactly as RunSimSourceScalar
-// mirrors RunSimSource.
-func RunSimOracleScalar(src trace.Source, alloc heapsim.Allocator, oracle profile.Oracle, observers ...*obs.Collector) (SimResult, error) {
-	ot := trackerFor(src, alloc, oracle, observers)
-	res := SimResult{}
-	route, err := routeFor(alloc, oracle)
-	if err != nil {
-		return res, err
+// Placement is a replay's placement step: it asks the oracle for each
+// allocation's verdict and places the object. Most allocators take the
+// verdict as the plain predictedShort hint. A SiteArena driven by an
+// oracle instead gets per-site placement, the pollution-isolation variant
+// explored under the paper's "further exploration of algorithms" future
+// work (see EXPERIMENTS.md): each predicted-short allocation goes to its
+// own site's pool, identified by the oracle's site key.
+type Placement struct {
+	alloc  heapsim.Allocator
+	oracle profile.Oracle
+	sited  *heapsim.SiteArena // non-nil: route per site through keyer
+	keyer  siteKeyer
+}
+
+// NewPlacement picks the placement once, from the allocator's type. An
+// oracle without site keys cannot route a SiteArena and is an error, not
+// a silent fallback to one shared pool.
+func NewPlacement(alloc heapsim.Allocator, oracle profile.Oracle) (*Placement, error) {
+	p := &Placement{alloc: alloc, oracle: oracle}
+	if sa, ok := alloc.(*heapsim.SiteArena); ok && oracle != nil {
+		keyer, ok := oracle.(siteKeyer)
+		if !ok {
+			return nil, fmt.Errorf("core: oracle %T has no site keys to route a sited arena", oracle)
+		}
+		p.sited, p.keyer = sa, keyer
 	}
-	for i := 0; ; i++ {
-		ev, err := src.Next()
-		if err == io.EOF {
-			break
+	return p, nil
+}
+
+// Alloc predicts and places one allocation and returns its
+// predicted-short verdict. Replay loops reuse that verdict for quality
+// tracking: asking the oracle twice would double a mapper's site-usage
+// accounting.
+func (p *Placement) Alloc(obj trace.ObjectID, size int64, chain callchain.ChainID) (bool, error) {
+	if p.sited != nil {
+		key, short := p.keyer.Site(chain, size)
+		if !short {
+			return false, p.sited.Alloc(obj, size, false)
 		}
-		if err != nil {
-			return res, err
-		}
-		short := false
-		switch ev.Kind {
-		case trace.KindAlloc:
-			if ev.Size > math.MaxInt64-res.TotalBytes {
-				return res, fmt.Errorf("core: event %d: %w", i, errTotalBytes)
-			}
-			if route != nil {
-				short, err = route.alloc(ev.Obj, ev.Size, ev.Chain)
-			} else {
-				if oracle != nil {
-					short = oracle.PredictShort(ev.Chain, ev.Size)
-				}
-				err = alloc.Alloc(ev.Obj, ev.Size, short)
-			}
-			if err != nil {
-				return res, fmt.Errorf("core: event %d: %w", i, err)
-			}
-			res.TotalAllocs++
-			res.TotalBytes += ev.Size
-		case trace.KindFree:
-			if err := alloc.Free(ev.Obj); err != nil {
-				return res, fmt.Errorf("core: event %d: %w", i, err)
-			}
-		default:
-			return res, fmt.Errorf("core: event %d: bad kind %d", i, ev.Kind)
-		}
-		if ot != nil {
-			ot.step(ev, short)
-		}
+		// Fold the site key into a stable, well-mixed 64-bit pool identity
+		// (a plain shift-xor would be congruent to the size modulo the
+		// bucket count).
+		id := (uint64(key.Chain)+1)*0x9e3779b97f4a7c15 ^ uint64(key.Size)*0xc2b2ae3d27d4eb4f
+		return true, p.sited.AllocAt(obj, size, id)
 	}
-	finishSim(&res, alloc)
-	if ot != nil {
-		res.Obs = ot.finish(src.Meta().Program, src.Table())
-	}
-	return res, nil
+	short := p.oracle != nil && p.oracle.PredictShort(chain, size)
+	return short, p.alloc.Alloc(obj, size, short)
 }
 
 // --- Table 2: allocation behaviour ---

@@ -86,21 +86,16 @@ func (a *acceptAll) MaxHeapSize() int64                      { return 0 }
 func (a *acceptAll) Counts() heapsim.OpCounts                { return heapsim.OpCounts{Allocs: a.n} }
 func (a *acceptAll) Addr(trace.ObjectID) (int64, bool)       { return 0, false }
 
-// TestTotalBytesOverflowFails pins the replay's own overflow check: both
-// replay loops reject the event whose size would wrap TotalBytes, at the
-// same index.
+// TestTotalBytesOverflowFails pins the replay's own overflow check: the
+// event whose size would wrap TotalBytes is rejected, at its index. The
+// check package holds its scalar reference replay to the same case.
 func TestTotalBytesOverflowFails(t *testing.T) {
 	tr := twoAllocs(math.MaxInt64/2 + 1)
-	for name, run := range map[string]func() (SimResult, error){
-		"block":  func() (SimResult, error) { return RunSim(tr, &acceptAll{}, nil) },
-		"scalar": func() (SimResult, error) { return RunSimSourceScalar(trace.NewSliceSource(tr), &acceptAll{}, nil) },
-	} {
-		res, err := run()
-		if !errors.Is(err, errTotalBytes) || !strings.Contains(err.Error(), "event 1:") {
-			t.Errorf("%s: err = %v, want the total-bytes overflow at event 1", name, err)
-		}
-		if res.TotalBytes != math.MaxInt64/2+1 {
-			t.Errorf("%s: TotalBytes = %d after the rejected event", name, res.TotalBytes)
-		}
+	res, err := RunSim(tr, &acceptAll{}, nil)
+	if !errors.Is(err, ErrTotalBytes) || !strings.Contains(err.Error(), "event 1:") {
+		t.Errorf("err = %v, want the total-bytes overflow at event 1", err)
+	}
+	if res.TotalBytes != math.MaxInt64/2+1 {
+		t.Errorf("TotalBytes = %d after the rejected event", res.TotalBytes)
 	}
 }

@@ -199,9 +199,6 @@ func TestSitedRouteNeedsSiteKeys(t *testing.T) {
 	if _, err := RunSimOracle(trace.NewSliceSource(train), heapsim.NewSiteArena(), bound); err == nil {
 		t.Fatal("SiteArena replay with a keyless oracle: want error")
 	}
-	if _, err := RunSimOracleScalar(trace.NewSliceSource(train), heapsim.NewSiteArena(), bound); err == nil {
-		t.Fatal("scalar SiteArena replay with a keyless oracle: want error")
-	}
 	if _, err := RunSimOracle(trace.NewSliceSource(train), heapsim.NewFirstFit(), bound); err != nil {
 		t.Fatalf("firstfit replay: %v", err)
 	}

@@ -184,7 +184,7 @@ func (p *Pool) Addr(id trace.ObjectID) (int64, bool) {
 }
 
 // PinnedArenas sums the pinned-arena counts of members that report one
-// (core's finishSim hook), so a pooled arena run surfaces the same Table 7
+// (core's FinishSim hook), so a pooled arena run surfaces the same Table 7
 // statistic as a bare arena run.
 func (p *Pool) PinnedArenas() int {
 	total := 0

@@ -262,7 +262,6 @@ func (c *Collector) Snapshot() *Snapshot {
 		Counters:   c.reg.CounterValues(),
 		Gauges:     c.reg.GaugeValues(),
 		Histograms: c.reg.HistogramValues(),
-		Timings:    c.reg.TimingValues(),
 		Phases:     phases,
 		Sites:      sites,
 		PredSites:  predSites,
@@ -329,10 +328,6 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]GaugeSnapshot     `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	// Timings are wall-clock duration aggregates (engine cell timings);
-	// unlike every other family they are machine-dependent, so regression
-	// gates should not threshold them.
-	Timings map[string]TimingSnapshot `json:"timings,omitempty"`
 
 	Timeline         []Sample `json:"timeline,omitempty"`
 	TimelineInterval int64    `json:"timeline_interval,omitempty"`

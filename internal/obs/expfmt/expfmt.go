@@ -137,27 +137,6 @@ func Families(s *obs.Snapshot, extra map[string]string) []Family {
 	for name, h := range s.Histograms {
 		fams = append(fams, histogramFamily(name, h, labels))
 	}
-	for name, t := range s.Timings {
-		// Wall-clock timings render as a summary-style trio; they are the
-		// one machine-dependent family, so scrapers should treat them as
-		// operational telemetry, not reproduction results.
-		fams = append(fams,
-			Family{
-				Name: MetricName(name) + "_count", Type: "counter",
-				Help:    "obs timing " + name + " observation count",
-				Metrics: []Metric{{Labels: labels, Value: float64(t.Count)}},
-			},
-			Family{
-				Name: MetricName(name) + "_sum_us", Type: "counter",
-				Help:    "obs timing " + name + " total wall-clock microseconds",
-				Metrics: []Metric{{Labels: labels, Value: float64(t.SumMicros)}},
-			},
-			Family{
-				Name: MetricName(name) + "_max_us", Type: "gauge",
-				Help:    "obs timing " + name + " largest single observation (us)",
-				Metrics: []Metric{{Labels: labels, Value: float64(t.MaxMicros)}},
-			})
-	}
 	if len(s.Events.Counts) > 0 {
 		kinds := make([]string, 0, len(s.Events.Counts))
 		for k := range s.Events.Counts {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -29,8 +28,6 @@ func buildSnapshot() *obs.Snapshot {
 	c.SetClock(250)
 	c.Emit(obs.EvArenaReuse, 3)
 	c.Emit(obs.EvHeapGrow, 4096)
-	c.ObserveTiming("engine_cell", 1500*time.Microsecond)
-	c.ObserveTiming("engine_cell", 500*time.Microsecond)
 	c.Counter("pred.fp_bytes").Add(64)
 	c.SetPredSites([]obs.PredSite{
 		{Site: "main>parse>alloc", FPObjects: 1, FPBytes: 64, FPCost: 2048},
@@ -63,12 +60,6 @@ func TestWriteShape(t *testing.T) {
 		// Overflowed values land in +Inf only: 2 observed, 1 under le=2.
 		`lp_arena_scan_len_bucket{allocator="arena",le="2",program="gawk"} 1`,
 		`lp_arena_scan_len_bucket{allocator="arena",le="+Inf",program="gawk"} 2`,
-		// Wall-clock timings render as a count/sum/max trio.
-		`# TYPE lp_engine_cell_count counter`,
-		`lp_engine_cell_count{allocator="arena",program="gawk"} 2`,
-		`lp_engine_cell_sum_us{allocator="arena",program="gawk"} 2000`,
-		`# TYPE lp_engine_cell_max_us gauge`,
-		`lp_engine_cell_max_us{allocator="arena",program="gawk"} 1500`,
 		// Sink overflow is always exposed, even at zero.
 		`# TYPE lp_obs_dropped_events counter`,
 		`lp_obs_dropped_events{allocator="arena",program="gawk"} 0`,

@@ -3,16 +3,14 @@ package obs
 // Flatten reduces a snapshot to a flat name → value map, the common
 // currency of cmd/lpdiff and the bench files: counters under their own
 // names, gauges as name and name.max, histograms as name.count /
-// name.sum / name.mean / name.max, wall-clock timings as name.count /
-// name.sum_us / name.mean_us / name.max_us, exact event totals as
-// events.<kind>, and the bytes-allocated clock as "clock". Nil-safe: a
+// name.sum / name.mean / name.max, exact event totals as events.<kind>, and the bytes-allocated clock as "clock". Nil-safe: a
 // nil snapshot flattens to an empty map.
 func (s *Snapshot) Flatten() map[string]float64 {
 	if s == nil {
 		return map[string]float64{}
 	}
 	out := make(map[string]float64,
-		2+len(s.Counters)+2*len(s.Gauges)+4*len(s.Histograms)+4*len(s.Timings)+len(s.Events.Counts))
+		2+len(s.Counters)+2*len(s.Gauges)+4*len(s.Histograms)+len(s.Events.Counts))
 	out["clock"] = float64(s.Clock)
 	for name, v := range s.Counters {
 		out[name] = float64(v)
@@ -26,12 +24,6 @@ func (s *Snapshot) Flatten() map[string]float64 {
 		out[name+".sum"] = float64(h.Sum)
 		out[name+".mean"] = h.Mean()
 		out[name+".max"] = float64(h.Max)
-	}
-	for name, t := range s.Timings {
-		out[name+".count"] = float64(t.Count)
-		out[name+".sum_us"] = float64(t.SumMicros)
-		out[name+".mean_us"] = t.MeanMicros()
-		out[name+".max_us"] = float64(t.MaxMicros)
 	}
 	for kind, n := range s.Events.Counts {
 		out["events."+kind] = float64(n)

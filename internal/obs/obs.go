@@ -76,7 +76,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	timings  map[string]*Timing
 }
 
 // NewRegistry returns an empty registry.
@@ -85,7 +84,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		timings:  make(map[string]*Timing),
 	}
 }
 
@@ -172,12 +170,11 @@ func (r *Registry) HistogramValues() map[string]HistogramSnapshot {
 	return out
 }
 
-// Names returns all metric names (counters, gauges, histograms, timings),
-// sorted.
+// Names returns all metric names (counters, gauges, histograms), sorted.
 func (r *Registry) Names() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.timings))
+	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	for n := range r.counters {
 		names = append(names, n)
 	}
@@ -185,9 +182,6 @@ func (r *Registry) Names() []string {
 		names = append(names, n)
 	}
 	for n := range r.hists {
-		names = append(names, n)
-	}
-	for n := range r.timings {
 		names = append(names, n)
 	}
 	sort.Strings(names)

@@ -16,13 +16,6 @@ func (s scalarOnly) Meta() Meta              { return s.src.Meta() }
 func (s scalarOnly) Table() *callchain.Table { return s.src.Table() }
 func (s scalarOnly) Next() (Event, error)    { return s.src.Next() }
 
-// blockOnly hides any native Next so AsSource must wrap.
-type blockOnly struct{ bs BlockSource }
-
-func (s blockOnly) Meta() Meta                    { return s.bs.Meta() }
-func (s blockOnly) Table() *callchain.Table       { return s.bs.Table() }
-func (s blockOnly) NextBlock(b *EventBlock) error { return s.bs.NextBlock(b) }
-
 func TestSliceSourceBlocksRoundTrip(t *testing.T) {
 	tr := randomTrace(7, 1300) // not a multiple of DefaultBlockLen
 	got, err := CollectBlocks(NewSliceSource(tr))
@@ -35,15 +28,6 @@ func TestSliceSourceBlocksRoundTrip(t *testing.T) {
 func TestBlockAdapterRoundTrip(t *testing.T) {
 	tr := randomTrace(8, 700)
 	got, err := CollectBlocks(AsBlockSource(scalarOnly{NewSliceSource(tr)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertTracesEqual(t, tr, got)
-}
-
-func TestScalarAdapterRoundTrip(t *testing.T) {
-	tr := randomTrace(9, 700)
-	got, err := Collect(AsSource(blockOnly{NewSliceSource(tr)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,26 +152,6 @@ func TestColumnsSourceViews(t *testing.T) {
 	}
 	if &blk.Kinds[0] != &cs.cols.Kinds[0] {
 		t.Fatal("ColumnsSource.NextBlock copied instead of repointing")
-	}
-}
-
-func TestBlockPoolRecycles(t *testing.T) {
-	p := NewBlockPool(64)
-	b := p.Get()
-	if b.Cap() != 64 {
-		t.Fatalf("cap = %d, want 64", b.Cap())
-	}
-	b.Append(Event{Kind: KindFree, Obj: 5})
-	p.Put(b)
-	if got := p.Get(); got != b {
-		t.Fatal("pool did not recycle the released block")
-	} else if got.N != 0 {
-		t.Fatal("recycled block not reset")
-	}
-	// Foreign-capacity blocks are rejected, keeping the pool homogeneous.
-	p.Put(NewEventBlock(32))
-	if got := p.Get(); got.Cap() != 64 {
-		t.Fatalf("pool handed out a foreign block of cap %d", got.Cap())
 	}
 }
 

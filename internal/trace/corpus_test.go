@@ -17,6 +17,7 @@ func TestFuzzCorpusPresent(t *testing.T) {
 		"FuzzReadBinary":       5,
 		"FuzzReadBinaryBlocks": 5,
 		"FuzzReadText":         3,
+		"FuzzMerge":            3,
 	} {
 		dir := filepath.Join("testdata", "fuzz", target)
 		entries, err := os.ReadDir(dir)
