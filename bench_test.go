@@ -7,11 +7,14 @@
 package lifetime_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
 	lifetime "repro"
+	"repro/internal/callchain"
 	"repro/internal/core"
 	"repro/internal/heapsim"
 	"repro/internal/profile"
@@ -396,19 +399,71 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictorLookup measures the per-allocation prediction cost of
-// the mapped predictor (the operation the paper prices at 18 instructions).
-func BenchmarkPredictorLookup(b *testing.B) {
-	a := artifacts(b, "gawk")
-	m := a.TrainPredictor.NewMapper(a.TestTrace.Table)
-	events := a.TestTrace.Events
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := events[i%len(events)]
-		if ev.Kind == 1 {
-			m.PredictShort(ev.Chain, ev.Size)
+// BenchmarkDecodeBlocks measures the LPTRACE2 decoder alone: each op
+// opens a fresh Reader over the gawk Test trace and drains it through
+// NextBlock, the path every replay of a trace file takes.
+func BenchmarkDecodeBlocks(b *testing.B) {
+	tr := artifacts(b, "gawk").TestTrace
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, trace.Meta{Program: tr.Program, Input: tr.Input}, tr.Table)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, ev := range tr.Events {
+		if err := w.Write(ev); err != nil {
+			b.Fatal(err)
 		}
 	}
+	if err := w.Close(tr.FunctionCalls, tr.NonHeapRefs); err != nil {
+		b.Fatal(err)
+	}
+	enc := buf.Bytes()
+	blk := trace.NewEventBlock(trace.DefaultBlockLen)
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd, err := trace.NewReader(bytes.NewReader(enc))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for {
+			err := rd.NextBlock(blk)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tr.Events)), "ns/event")
+}
+
+// BenchmarkPredictorLookup measures the per-allocation prediction cost of
+// the mapped predictor (the operation the paper prices at 18
+// instructions). Each op is one pass over the gawk Test trace's
+// allocations through a fresh Mapper, so binding each chain on its first
+// sighting is priced in; ns/call divides by allocations only.
+func BenchmarkPredictorLookup(b *testing.B) {
+	a := artifacts(b, "gawk")
+	var chains []callchain.ChainID
+	var sizes []int64
+	for _, ev := range a.TestTrace.Events {
+		if ev.Kind == trace.KindAlloc {
+			chains = append(chains, ev.Chain)
+			sizes = append(sizes, ev.Size)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := a.TrainPredictor.NewMapper(a.TestTrace.Table)
+		for k, ch := range chains {
+			m.PredictShort(ch, sizes[k])
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(chains)), "ns/call")
 }
 
 // BenchmarkExtensionGCPretenuring quantifies the paper's related-work

@@ -71,7 +71,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%s: enqueued %d matrix jobs\n", name, len(jobs))
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.routes()}
+	httpSrv := srv.httpServer(*addr)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -501,5 +504,97 @@ func TestSubmitValidates(t *testing.T) {
 	}
 	if _, err := srv.submit(core.MatrixJob{Model: "gawk", Allocator: "arena", Predictor: "maybe"}); err == nil {
 		t.Error("bad predictor accepted")
+	}
+}
+
+// TestRunRefusalsAreTyped: a full queue and a draining server refuse a
+// submission with errQueueFull and errShuttingDown, which /run answers
+// with 503. The server has no workers, so its one-slot queue stays full.
+func TestRunRefusalsAreTyped(t *testing.T) {
+	srv := &server{queue: make(chan *job, 1), broker: newBroker(), drained: make(chan struct{})}
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+	spec := core.MatrixJob{Model: "gawk", Allocator: "arena", Predictor: "true"}
+	if _, err := srv.submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	post := func() int {
+		resp, err := http.Post(ts.URL+"/run", "application/json",
+			strings.NewReader(`{"model":"gawk","allocator":"arena"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if _, err := srv.submit(spec); !errors.Is(err, errQueueFull) {
+		t.Fatalf("submit to a full queue: %v, want errQueueFull", err)
+	}
+	if code := post(); code != http.StatusServiceUnavailable {
+		t.Fatalf("POST /run to a full queue: status %d, want 503", code)
+	}
+	srv.mu.Lock()
+	srv.closing = true
+	srv.mu.Unlock()
+	if _, err := srv.submit(spec); !errors.Is(err, errShuttingDown) {
+		t.Fatalf("submit while shutting down: %v, want errShuttingDown", err)
+	}
+	if code := post(); code != http.StatusServiceUnavailable {
+		t.Fatalf("POST /run while shutting down: status %d, want 503", code)
+	}
+	if n := len(srv.jobList()); n != 1 {
+		t.Fatalf("%d jobs recorded, want the 1 accepted", n)
+	}
+}
+
+// TestRunBodyLimit: a /run body over maxRunBody is refused with 413 and
+// enqueues nothing.
+func TestRunBodyLimit(t *testing.T) {
+	srv, ts := testServer(t)
+	defer srv.shutdown()
+	body := `{"model":"` + strings.Repeat("g", maxRunBody) + `","allocator":"arena"}`
+	resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST /run: status %d, want 413", resp.StatusCode)
+	}
+	if n := len(srv.jobList()); n != 0 {
+		t.Fatalf("oversized body enqueued %d jobs", n)
+	}
+}
+
+// TestReadHeaderTimeout: a client that never finishes its request
+// headers is disconnected once readHeaderTimeout passes, instead of
+// holding the connection open.
+func TestReadHeaderTimeout(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	srv := &server{queue: make(chan *job, 1), broker: newBroker(), drained: make(chan struct{})}
+	hs := srv.httpServer("127.0.0.1:0")
+	ln, err := net.Listen("tcp", hs.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: lpserve\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := conn.Read(make([]byte, 1024))
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("server still holds a connection with unfinished headers after 5s")
+	}
+	if err == nil {
+		t.Fatalf("server answered %d bytes to unfinished headers", n)
 	}
 }

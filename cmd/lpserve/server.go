@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -125,6 +126,22 @@ type server struct {
 // 503 rather than blocking the handler.
 const queueCap = 1024
 
+// maxRunBody bounds a /run request body; a larger one is refused with
+// 413 before it is decoded.
+const maxRunBody = 1 << 20
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so idle or trickling connections cannot pile up. A
+// variable so tests can shorten it.
+var readHeaderTimeout = 10 * time.Second
+
+// The refusals /run answers with 503: the server is busy or going away,
+// and the same request may succeed elsewhere or later.
+var (
+	errQueueFull    = fmt.Errorf("lpserve: job queue is full (%d jobs)", queueCap)
+	errShuttingDown = errors.New("lpserve: shutting down, not accepting jobs")
+)
+
 // newServer builds a server over one experiment config.
 func newServer(cfg core.Config, workers int) *server {
 	if workers < 1 {
@@ -161,7 +178,7 @@ func (s *server) submit(spec core.MatrixJob) (*job, error) {
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("lpserve: shutting down, not accepting jobs")
+		return nil, errShuttingDown
 	}
 	j := &job{ID: len(s.jobs) + 1, Spec: spec, status: statusQueued}
 	select {
@@ -169,7 +186,7 @@ func (s *server) submit(spec core.MatrixJob) (*job, error) {
 		s.jobs = append(s.jobs, j)
 	default:
 		s.mu.Unlock()
-		return nil, fmt.Errorf("lpserve: job queue is full (%d jobs)", queueCap)
+		return nil, errQueueFull
 	}
 	s.mu.Unlock()
 	s.broker.publishJob(j)
@@ -231,6 +248,11 @@ func (s *server) jobByID(id int) *job {
 		return nil
 	}
 	return s.jobs[id-1]
+}
+
+// httpServer returns the HTTP server for the routes at addr.
+func (s *server) httpServer(addr string) *http.Server {
+	return &http.Server{Addr: addr, Handler: s.routes(), ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // routes builds the HTTP surface.
@@ -301,10 +323,15 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // and enqueues the job.
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var spec core.MatrixJob
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, map[string]string{"error": err.Error()})
 		return
 	}
 	if spec.Predictor == "" {
@@ -313,7 +340,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	j, err := s.submit(spec)
 	if err != nil {
 		code := http.StatusBadRequest
-		if strings.Contains(err.Error(), "queue") || strings.Contains(err.Error(), "shutting down") {
+		if errors.Is(err, errQueueFull) || errors.Is(err, errShuttingDown) {
 			code = http.StatusServiceUnavailable
 		}
 		writeJSON(w, code, map[string]string{"error": err.Error()})

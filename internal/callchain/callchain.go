@@ -15,7 +15,7 @@
 package callchain
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/xrand"
@@ -85,31 +85,34 @@ func (t *Table) NumFuncs() int { return len(t.funcNames) }
 // the empty chain.
 func (t *Table) NumChains() int { return len(t.chains) }
 
-func chainKey(fs []FuncID) string {
-	var b strings.Builder
+// appendChainKey appends the chain index's key for fs — its function
+// ids in decimal, comma-separated — to dst. Callers look the key up as
+// string(key), which does not allocate, and copy it only to insert.
+func appendChainKey(dst []byte, fs []FuncID) []byte {
 	for i, f := range fs {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		fmt.Fprintf(&b, "%d", f)
+		dst = strconv.AppendUint(dst, uint64(f), 10)
 	}
-	return b.String()
+	return dst
 }
 
 // Intern interns a chain of function ids (outermost first) and returns its
 // ChainID. The input slice is copied. Interning a new chain into a frozen
 // table panics; a chain already present is returned as usual.
 func (t *Table) Intern(fs []FuncID) ChainID {
-	key := chainKey(fs)
-	if id, ok := t.chainIndex[key]; ok {
+	var buf [64]byte
+	key := appendChainKey(buf[:0], fs)
+	if id, ok := t.chainIndex[string(key)]; ok {
 		return id
 	}
 	if t.frozen {
-		frozenPanic("intern chain " + key)
+		frozenPanic("intern chain " + string(key))
 	}
 	id := ChainID(len(t.chains))
 	t.chains = append(t.chains, append([]FuncID(nil), fs...))
-	t.chainIndex[key] = id
+	t.chainIndex[string(key)] = id
 	return id
 }
 
@@ -133,7 +136,8 @@ func (t *Table) Lookup(names ...string) (id ChainID, ok bool) {
 			return 0, false
 		}
 	}
-	id, ok = t.chainIndex[chainKey(fs)]
+	var buf [64]byte
+	id, ok = t.chainIndex[string(appendChainKey(buf[:0], fs))]
 	return id, ok
 }
 

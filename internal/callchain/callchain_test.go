@@ -1,6 +1,7 @@
 package callchain
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -40,6 +41,18 @@ func TestChainInterning(t *testing.T) {
 	}
 	if tb.String(c1) != "main>parse>xmalloc" {
 		t.Fatalf("String = %q", tb.String(c1))
+	}
+	// Multi-digit function ids whose digits run together without the
+	// key's separator: 1,23 / 12,3 / 123 are three chains.
+	for i := 0; i < 124; i++ {
+		tb.Func(fmt.Sprint("f", i))
+	}
+	split := []ChainID{tb.Intern([]FuncID{1, 23}), tb.Intern([]FuncID{12, 3}), tb.Intern([]FuncID{123})}
+	if split[0] == split[1] || split[1] == split[2] || split[0] == split[2] {
+		t.Fatalf("chains 1,23 / 12,3 / 123 share ids: %v", split)
+	}
+	if id, ok := tb.Lookup(tb.FuncName(1), tb.FuncName(23)); !ok || id != split[0] {
+		t.Fatalf("Lookup of chain 1,23 = %d %v, want %d", id, ok, split[0])
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"repro/internal/callchain"
 )
 
 // SiteRecord is the serialized form of one trained allocation site: the
@@ -88,11 +90,8 @@ func ReadPredictor(r io.Reader) (*Predictor, error) {
 // Predictor reconstructs a predictor from a deserialized database file.
 func (f DBFile) Predictor() (*Predictor, error) {
 	cfg := f.Config.withDefaults()
-	p := &Predictor{
-		Config: cfg,
-		table:  newTableForPredictor(),
-		keys:   make(map[SiteKey]struct{}),
-	}
+	tb := callchain.NewTable()
+	keys := make(map[SiteKey]struct{})
 	for _, rec := range f.Sites {
 		if !rec.Admitted {
 			continue
@@ -100,8 +99,8 @@ func (f DBFile) Predictor() (*Predictor, error) {
 		if rec.Size < 0 {
 			return nil, fmt.Errorf("profile: negative size in site record")
 		}
-		chain := p.table.InternNames(rec.Chain...)
-		p.keys[SiteKey{Chain: chain, Size: cfg.roundSize(rec.Size)}] = struct{}{}
+		chain := tb.InternNames(rec.Chain...)
+		keys[SiteKey{Chain: chain, Size: cfg.roundSize(rec.Size)}] = struct{}{}
 	}
-	return p, nil
+	return newPredictor(cfg, tb, keys), nil
 }

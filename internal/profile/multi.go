@@ -31,11 +31,7 @@ func TrainMulti(traces []*trace.Trace, cfg Config, requireAllRuns bool) (*Predic
 	cfg = cfg.withDefaults()
 
 	// Canonical key space: a fresh table shared by the merged predictor.
-	merged := &Predictor{
-		Config: cfg,
-		table:  callchain.NewTable(),
-		keys:   make(map[SiteKey]struct{}),
-	}
+	tb := callchain.NewTable()
 
 	type agg struct {
 		runs     int
@@ -57,7 +53,7 @@ func TrainMulti(traces []*trace.Trace, cfg Config, requireAllRuns bool) (*Predic
 				names[i] = tr.Table.FuncName(f)
 			}
 			mkey := SiteKey{
-				Chain: merged.table.InternNames(names...),
+				Chain: tb.InternNames(names...),
 				Size:  key.Size,
 			}
 			a := sites[mkey]
@@ -71,6 +67,7 @@ func TrainMulti(traces []*trace.Trace, cfg Config, requireAllRuns bool) (*Predic
 			}
 		}
 	}
+	keys := make(map[SiteKey]struct{})
 	for key, a := range sites {
 		if a.admitted != a.runs {
 			continue // long-lived in at least one run
@@ -78,7 +75,7 @@ func TrainMulti(traces []*trace.Trace, cfg Config, requireAllRuns bool) (*Predic
 		if requireAllRuns && a.runs != len(traces) {
 			continue
 		}
-		merged.keys[key] = struct{}{}
+		keys[key] = struct{}{}
 	}
-	return merged, nil
+	return newPredictor(cfg, tb, keys), nil
 }

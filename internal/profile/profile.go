@@ -235,30 +235,29 @@ func (db *DB) NumSites() int { return len(db.Sites) }
 
 // Predictor extracts the set of admitted short-lived predictor sites.
 func (db *DB) Predictor() *Predictor {
-	p := &Predictor{
-		Config: db.Config,
-		table:  db.Table,
-		keys:   make(map[SiteKey]struct{}),
-	}
+	keys := make(map[SiteKey]struct{})
 	for k, st := range db.Sites {
 		ok := st.admitted(db.Config.AdmitFraction)
 		if db.Config.HistogramRule {
 			ok = st.admittedByHistogram(db.Config.AdmitFraction, db.Config.ShortThreshold)
 		}
 		if ok {
-			p.keys[k] = struct{}{}
+			keys[k] = struct{}{}
 		}
 	}
-	return p
+	return newPredictor(db.Config, db.Table, keys)
 }
 
 // Predictor is the trained short-lived-site database the allocator
 // consults at each allocation (paper §5.1: "the presence of the allocation
 // site in the short-lived site database indicates an arena allocation").
+// It is immutable once built: keys is the admitted site set, and index
+// holds the same verdicts by chain and size class for Mappers.
 type Predictor struct {
 	Config Config
 	table  *callchain.Table
 	keys   map[SiteKey]struct{}
+	index  *verdictIndex
 }
 
 // NumSites reports how many predictor sites were admitted.
@@ -286,31 +285,46 @@ func (p *Predictor) PredictShort(raw callchain.ChainID, size int64) bool {
 // Binding never interns into the oracle's table: a chain that table does
 // not hold is not a site, so every oracle predicts it long-lived. That
 // keeps a shared oracle table read-only under any number of concurrent
-// bindings. The memo makes the per-allocation cost a map hit.
+// bindings. The memo, indexed by raw chain, makes every sighting after
+// the first a slice load.
 type siteBinding struct {
-	cfg  Config
-	from *callchain.Table
-	to   *callchain.Table
-	memo map[callchain.ChainID]boundChain
+	cfg   Config
+	from  *callchain.Table
+	to    *callchain.Table
+	index *verdictIndex // the predictor's, for Mapper; nil for SiteMapper
+	memo  []boundChain
 }
 
 // boundChain is one memoized mapping: the site chain in the foreign
-// table, the same chain in the oracle's table, and whether the oracle's
-// table holds it at all.
+// table, the same chain in the oracle's table, whether the oracle's
+// table holds it at all, and where its verdict bits lie in the
+// predictor's index.
 type boundChain struct {
 	local callchain.ChainID
 	id    callchain.ChainID
 	ok    bool
+	bound bool // the slot is filled
+	span  span
 }
 
-func newSiteBinding(cfg Config, from, to *callchain.Table) siteBinding {
-	return siteBinding{cfg: cfg, from: from, to: to, memo: make(map[callchain.ChainID]boundChain)}
+func newSiteBinding(cfg Config, from, to *callchain.Table, index *verdictIndex) siteBinding {
+	return siteBinding{cfg: cfg, from: from, to: to, index: index, memo: make([]boundChain, from.NumChains())}
 }
 
-// lookup maps one raw chain of the foreign table.
-func (b *siteBinding) lookup(raw callchain.ChainID) boundChain {
-	if bc, hit := b.memo[raw]; hit {
-		return bc
+// lookup maps one raw chain of the foreign table. The result points into
+// the memo and is valid until the next lookup.
+func (b *siteBinding) lookup(raw callchain.ChainID) *boundChain {
+	if int(raw) < len(b.memo) && b.memo[raw].bound {
+		return &b.memo[raw]
+	}
+	return b.bind(raw)
+}
+
+// bind maps raw on its first sighting, growing the memo to cover chains
+// interned into the foreign table after the binding was made.
+func (b *siteBinding) bind(raw callchain.ChainID) *boundChain {
+	if int(raw) >= len(b.memo) {
+		b.memo = append(b.memo, make([]boundChain, max(b.from.NumChains(), int(raw)+1)-len(b.memo))...)
 	}
 	local := b.cfg.siteChain(b.from, raw)
 	fs := b.from.Funcs(local)
@@ -319,9 +333,12 @@ func (b *siteBinding) lookup(raw callchain.ChainID) boundChain {
 		names[i] = b.from.FuncName(f)
 	}
 	id, ok := b.to.Lookup(names...)
-	bc := boundChain{local: local, id: id, ok: ok}
+	bc := boundChain{local: local, id: id, ok: ok, bound: true}
+	if ok && b.index != nil {
+		bc.span = b.index.span(id)
+	}
 	b.memo[raw] = bc
-	return bc
+	return &b.memo[raw]
 }
 
 // key returns the site key, in the oracle's table, of one foreign
@@ -333,64 +350,68 @@ func (b *siteBinding) key(raw callchain.ChainID, size int64) (SiteKey, bool) {
 
 // Mapper translates chains from another execution's table into the
 // predictor's table by function name — the paper's cross-run site mapping
-// (see siteBinding for the "absent means not a site" rule).
+// (see siteBinding for the "absent means not a site" rule). It answers
+// from the predictor's verdict index, falling back to the key set for
+// sizes the index does not cover.
 type Mapper struct {
 	p    *Predictor
+	ix   verdictIndex // a copy of *p.index, sharing its words
 	bind siteBinding
-	hits map[SiteKey]struct{} // predictor sites that matched
 
-	// decisions memoizes the final PredictShort outcome per (raw chain,
-	// rounded size) pair, packed into one 64-bit key, so the replay's
-	// per-alloc cost is a single map probe instead of chain mapping plus
-	// a 16-byte-key site lookup. The first occurrence of each pair went
-	// through the slow path, which already recorded its site in hits.
-	// Rounded sizes that do not fit 32 bits bypass the cache.
-	decisions map[uint64]bool
+	// seen mirrors the index's words: a set bit is a dense site already
+	// matched, counted once in matched. hits holds the matched sites
+	// outside the index.
+	seen    []uint64
+	matched int
+	hits    map[SiteKey]struct{}
 }
 
 // NewMapper prepares a mapper from chains interned in from onto p.
 func (p *Predictor) NewMapper(from *callchain.Table) *Mapper {
 	return &Mapper{
-		p:         p,
-		bind:      newSiteBinding(p.Config, from, p.table),
-		hits:      make(map[SiteKey]struct{}),
-		decisions: make(map[uint64]bool),
+		p:    p,
+		ix:   *p.index,
+		bind: newSiteBinding(p.Config, from, p.table, p.index),
+		seen: make([]uint64, len(p.index.words)),
 	}
 }
 
 // PredictShort reports the prediction for an allocation observed in the
 // foreign execution, and records site-usage accounting.
 func (m *Mapper) PredictShort(raw callchain.ChainID, size int64) bool {
-	rounded := m.p.Config.roundSize(size)
-	if uint64(rounded)>>32 == 0 {
-		ck := uint64(raw)<<32 | uint64(rounded)
-		if short, ok := m.decisions[ck]; ok {
-			return short
+	bc := m.bind.lookup(raw)
+	ix := &m.ix
+	if cls, ok := ix.class(size); ok {
+		if cls >= 64*uint64(bc.span.n) {
+			return false
 		}
-		short := m.predictSlow(raw, rounded)
-		m.decisions[ck] = short
-		return short
-	}
-	return m.predictSlow(raw, rounded)
-}
-
-// predictSlow is the uncached decision: map the chain, probe the site
-// set, and record site-usage accounting.
-func (m *Mapper) predictSlow(raw callchain.ChainID, rounded int64) bool {
-	key, ok := m.bind.key(raw, rounded)
-	if !ok {
-		return false
-	}
-	if _, ok := m.p.keys[key]; ok {
-		m.hits[key] = struct{}{}
+		w, bit := uint64(bc.span.off)+cls/64, uint64(1)<<(cls%64)
+		if ix.words[w]&bit == 0 {
+			return false
+		}
+		if m.seen[w]&bit == 0 {
+			m.seen[w] |= bit
+			m.matched++
+		}
 		return true
 	}
-	return false
+	if !bc.ok {
+		return false
+	}
+	key := SiteKey{Chain: bc.id, Size: m.p.Config.roundSize(size)}
+	if _, ok := m.p.keys[key]; !ok {
+		return false
+	}
+	if m.hits == nil {
+		m.hits = make(map[SiteKey]struct{})
+	}
+	m.hits[key] = struct{}{}
+	return true
 }
 
 // SitesMatched reports how many distinct predictor sites matched at least
 // one allocation — the paper's "Sites Used" under true prediction.
-func (m *Mapper) SitesMatched() int { return len(m.hits) }
+func (m *Mapper) SitesMatched() int { return m.matched + len(m.hits) }
 
 // Eval holds the prediction-effectiveness metrics of Tables 4, 5 and 6.
 type Eval struct {
@@ -521,10 +542,6 @@ func LifetimeQuantiles(objs []trace.Object, probs []float64, byteWeighted bool) 
 	return out
 }
 
-// newTableForPredictor returns the fresh chain table a deserialized
-// predictor interns its site chains into.
-func newTableForPredictor() *callchain.Table { return callchain.NewTable() }
-
 // TopSizes returns the n most allocation-heavy rounded request sizes in
 // the database — the profile a CUSTOMALLOC-style allocator (the paper's
 // reference [9]) synthesizes its per-size free lists from.
@@ -555,9 +572,19 @@ func (db *DB) TopSizes(n int) []int64 {
 // a stable identity; unlike PredictShort it does not touch the site-usage
 // accounting. The key is meaningful only when the verdict is true.
 func (m *Mapper) Site(raw callchain.ChainID, size int64) (SiteKey, bool) {
-	key, ok := m.bind.key(raw, size)
-	if ok {
-		_, ok = m.p.keys[key]
+	bc := m.bind.lookup(raw)
+	ix := &m.ix
+	if cls, ok := ix.class(size); ok {
+		key := SiteKey{Chain: bc.id, Size: ix.round(cls)}
+		if cls >= 64*uint64(bc.span.n) {
+			return key, false
+		}
+		return key, ix.words[uint64(bc.span.off)+cls/64]&(1<<(cls%64)) != 0
 	}
+	key := SiteKey{Chain: bc.id, Size: m.p.Config.roundSize(size)}
+	if !bc.ok {
+		return key, false
+	}
+	_, ok := m.p.keys[key]
 	return key, ok
 }

@@ -43,8 +43,8 @@ func predictVia(o SiteOracle, raw callchain.ChainID, size int64) bool {
 // SiteMapper adapts a SiteOracle to chains from another execution's table,
 // mirroring Mapper: the same read-only binding by function name, under
 // which a chain absent from the oracle's table is not a site and predicts
-// long-lived without consulting the oracle. Unlike Mapper it never caches
-// final decisions — a windowed oracle's admissions drift as it keeps
+// long-lived without consulting the oracle. Unlike Mapper it has no
+// verdict index — a windowed oracle's admissions drift as it keeps
 // training, so only the (stable) chain mapping is safe to memoize.
 type SiteMapper struct {
 	o    SiteOracle
@@ -53,7 +53,7 @@ type SiteMapper struct {
 
 // NewSiteMapper prepares a mapper from chains interned in from onto o.
 func NewSiteMapper(o SiteOracle, from *callchain.Table) *SiteMapper {
-	return &SiteMapper{o: o, bind: newSiteBinding(o.ProfileConfig(), from, o.Table())}
+	return &SiteMapper{o: o, bind: newSiteBinding(o.ProfileConfig(), from, o.Table(), nil)}
 }
 
 // PredictShort implements Oracle for a foreign execution's chains.

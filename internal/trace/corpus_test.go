@@ -15,7 +15,7 @@ import (
 func TestFuzzCorpusPresent(t *testing.T) {
 	for target, minEntries := range map[string]int{
 		"FuzzReadBinary":       5,
-		"FuzzReadBinaryBlocks": 5,
+		"FuzzReadBinaryBlocks": 9,
 		"FuzzReadText":         3,
 		"FuzzMerge":            3,
 	} {

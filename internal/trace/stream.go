@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -124,14 +127,15 @@ func readTable(cr countingReader) (*callchain.Table, error) {
 // LPTRACE1 it also implements Counted, since that header carries the
 // event count.
 type Reader struct {
-	cr   countingReader
+	br   *bufio.Reader
 	meta Meta
 	tb   *callchain.Table
 	v2   bool
 	n    uint64 // total events, LPTRACE1 only
 	i    uint64 // events decoded so far
 	done bool
-	perr error // pending terminal error held back by NextBlock
+	perr error       // pending terminal error held back by NextBlock
+	row  *EventBlock // Next's one-event block
 }
 
 // NewReader parses a binary trace header from r and returns a Source
@@ -144,7 +148,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	rd := &Reader{cr: cr}
+	rd := &Reader{br: br, row: NewEventBlock(1)}
 	switch string(magic) {
 	case binaryMagic:
 	case binaryMagic2:
@@ -203,9 +207,139 @@ func (r *Reader) EventCount() (int, bool) {
 	return int(r.n), true
 }
 
+// maxEventLen is the longest encoded event: a kind byte and four
+// varints. With this many bytes in hand, decodeEvents never runs short.
+const maxEventLen = 1 + 4*binary.MaxVarintLen64
+
+var (
+	// errShortEvent reports that the bytes given to decodeEvents end
+	// inside an event.
+	errShortEvent = errors.New("trace: event runs past the buffered bytes")
+	// errSentinel reports the LPTRACE2 end-of-events byte.
+	errSentinel = errors.New("trace: end-of-events sentinel")
+	// errVarintOverflow is the error binary.ReadUvarint gives for a
+	// varint past 64 bits. Events report that same error, so a corrupt
+	// event reads exactly like a corrupt header.
+	errVarintOverflow = func() error {
+		_, err := binary.ReadUvarint(bytes.NewReader(bytes.Repeat([]byte{0x80}, binary.MaxVarintLen64)))
+		return err
+	}()
+)
+
+// uvarint decodes the varint at p[n:] under binary.ReadUvarint's rules
+// and returns it with the offset just past it. The offset is 0 when p
+// ends inside the varint and -1 when it overflows 64 bits, which ten
+// continuation bytes already prove. p[n] must not be a one-byte varint:
+// decodeEvents takes those inline before calling it, and two- and
+// three-byte varints take the fast path here.
+func uvarint(p []byte, n int) (uint64, int) {
+	if n+2 < len(p) {
+		if b := p[n+1]; b < 0x80 {
+			return uint64(p[n]&0x7f) | uint64(b)<<7, n + 2
+		}
+		if b := p[n+2]; b < 0x80 {
+			return uint64(p[n]&0x7f) | uint64(p[n+1]&0x7f)<<7 | uint64(b)<<14, n + 3
+		}
+	}
+	var v uint64
+	var s uint
+	for i := n; i < n+binary.MaxVarintLen64; i++ {
+		if i >= len(p) {
+			return 0, 0
+		}
+		b := p[i]
+		if b < 0x80 {
+			if i == n+binary.MaxVarintLen64-1 && b > 1 {
+				return 0, -1
+			}
+			return v | uint64(b)<<s, i + 1
+		}
+		v |= uint64(b&0x7f) << s
+		s += 7
+	}
+	return 0, -1
+}
+
+// decodeEvents is the one event decoder. It decodes events from the
+// front of p, the first being event number i of a stream whose table
+// holds numChains chains, into rows k, k+1, ... of b, for as long as
+// a row below limit is free and at least margin bytes are left. It
+// returns the next free row and the bytes consumed. Fields are read and
+// checked in stream order — kind byte, object, then the kind check, then
+// for an allocation size, chain (range-checked) and refs — so the error
+// is the one a byte-at-a-time reader meets first; it concerns the event
+// at the returned row, and the rows before it are decoded. errShortEvent
+// means p ends inside that event; errSentinel means it is the LPTRACE2
+// end-of-events byte.
+func decodeEvents(p []byte, v2 bool, i, numChains uint64, b *EventBlock, k, limit, margin int) (int, int, error) {
+	kinds, objs, sizes := b.Kinds[:limit], b.Objs[:limit], b.Sizes[:limit]
+	chains, refs := b.Chains[:limit], b.Refs[:limit]
+	off := 0
+	for ; k < limit && len(p)-off >= margin; k, i = k+1, i+1 {
+		q := p[off:]
+		if len(q) == 0 {
+			return k, off, errShortEvent
+		}
+		kind := Kind(q[0])
+		if v2 && kind == 0 {
+			return k, off, errSentinel
+		}
+		var obj, sz, ch, rf uint64
+		n := 2
+		if len(q) > 1 && q[1] < 0x80 {
+			obj = uint64(q[1])
+		} else if obj, n = uvarint(q, 1); n <= 0 {
+			return k, off, varintErr(n)
+		}
+		switch kind {
+		case KindAlloc:
+			if n < len(q) && q[n] < 0x80 {
+				sz = uint64(q[n])
+				n++
+			} else if sz, n = uvarint(q, n); n <= 0 {
+				return k, off, varintErr(n)
+			}
+			if n < len(q) && q[n] < 0x80 {
+				ch = uint64(q[n])
+				n++
+			} else if ch, n = uvarint(q, n); n <= 0 {
+				return k, off, varintErr(n)
+			}
+			if ch >= numChains {
+				return k, off, fmt.Errorf("trace: event %d references unknown chain %d", i, ch)
+			}
+			if n < len(q) && q[n] < 0x80 {
+				rf = uint64(q[n])
+				n++
+			} else if rf, n = uvarint(q, n); n <= 0 {
+				return k, off, varintErr(n)
+			}
+		case KindFree:
+		default:
+			return k, off, fmt.Errorf("trace: event %d: bad kind %d", i, kind)
+		}
+		kinds[k], objs[k], sizes[k], chains[k], refs[k] = kind, ObjectID(obj), int64(sz), callchain.ChainID(ch), int64(rf)
+		off += n
+	}
+	return k, off, nil
+}
+
+// varintErr maps a failed uvarint offset to its decoding error.
+func varintErr(n int) error {
+	if n == 0 {
+		return errShortEvent
+	}
+	return errVarintOverflow
+}
+
 // Next decodes one event. io.EOF marks the clean end of the stream: after
 // the declared count (LPTRACE1) or the sentinel and trailer (LPTRACE2).
 // A stream that ends anywhere else yields io.ErrUnexpectedEOF.
+//
+// Next is also the refill path: it asks the buffer for one maximal
+// event's worth of bytes, which only falls short at the end of the
+// stream or on a read error, and decodes one event from them into its
+// one-row block.
 func (r *Reader) Next() (Event, error) {
 	if r.done {
 		return Event{}, io.EOF
@@ -214,17 +348,25 @@ func (r *Reader) Next() (Event, error) {
 		r.done = true
 		return Event{}, io.EOF
 	}
-	kb, err := r.cr.r.ReadByte()
-	if err != nil {
-		return Event{}, noEOF(err)
-	}
-	if r.v2 && kb == 0 {
-		// Sentinel: the trailer completes the metadata.
-		fc, err := r.cr.uvarint()
+	p, rerr := r.br.Peek(maxEventLen)
+	_, n, err := decodeEvents(p, r.v2, r.i, uint64(r.tb.NumChains()), r.row, 0, 1, 0)
+	switch err {
+	case nil:
+		r.br.Discard(n)
+		r.i++
+		return r.row.Event(0), nil
+	case errShortEvent:
+		// Peek returns fewer bytes than asked only with an error.
+		return Event{}, noEOF(rerr)
+	case errSentinel:
+		// The trailer completes the metadata.
+		r.br.Discard(1)
+		cr := countingReader{r.br}
+		fc, err := cr.uvarint()
 		if err != nil {
 			return Event{}, noEOF(err)
 		}
-		nhr, err := r.cr.uvarint()
+		nhr, err := cr.uvarint()
 		if err != nil {
 			return Event{}, noEOF(err)
 		}
@@ -233,48 +375,20 @@ func (r *Reader) Next() (Event, error) {
 		r.done = true
 		return Event{}, io.EOF
 	}
-	i := r.i
-	r.i++
-	ev := Event{Kind: Kind(kb)}
-	obj, err := r.cr.uvarint()
-	if err != nil {
-		return Event{}, noEOF(err)
-	}
-	ev.Obj = ObjectID(obj)
-	switch ev.Kind {
-	case KindAlloc:
-		sz, err := r.cr.uvarint()
-		if err != nil {
-			return Event{}, noEOF(err)
-		}
-		ch, err := r.cr.uvarint()
-		if err != nil {
-			return Event{}, noEOF(err)
-		}
-		if ch >= uint64(r.tb.NumChains()) {
-			return Event{}, fmt.Errorf("trace: event %d references unknown chain %d", i, ch)
-		}
-		refs, err := r.cr.uvarint()
-		if err != nil {
-			return Event{}, noEOF(err)
-		}
-		ev.Size = int64(sz)
-		ev.Chain = callchain.ChainID(ch)
-		ev.Refs = int64(refs)
-	case KindFree:
-	default:
-		return Event{}, fmt.Errorf("trace: event %d: bad kind %d", i, kb)
-	}
-	return ev, nil
+	return Event{}, err
 }
 
-// NextBlock implements BlockSource natively: it decodes events straight
-// into the caller's block, amortizing the Source interface dispatch over
-// a whole block. The block is caller-recycled — steady-state replay from
-// a Reader allocates nothing per block. A terminal error (including
-// io.EOF) that arrives after at least one event has been decoded is held
-// back and returned by the following call, so block consumers observe
-// the exact event-then-error ordering that scalar Next callers see.
+// NextBlock implements BlockSource natively. It decodes whole events
+// straight from the bytes already buffered into the caller's columns for
+// as long as a maximal event is buffered and the block has room; an event
+// near the end of the buffer, and anything unusual (the sentinel, a bad
+// kind or chain, an overlong or truncated varint), goes through Next,
+// which refills the buffer and reports the error. The block is
+// caller-recycled — steady-state replay from a Reader allocates nothing
+// per block. A terminal error (including io.EOF) that arrives after at
+// least one event has been decoded is held back and returned by the
+// following call, so block consumers observe the exact event-then-error
+// ordering that scalar Next callers see.
 func (r *Reader) NextBlock(b *EventBlock) error {
 	b.Reset()
 	if r.perr != nil {
@@ -282,7 +396,11 @@ func (r *Reader) NextBlock(b *EventBlock) error {
 		r.perr = nil
 		return err
 	}
-	for !b.Full() {
+	for {
+		r.decodeBuffered(b)
+		if b.Full() {
+			return nil
+		}
 		ev, err := r.Next()
 		if err != nil {
 			if b.N == 0 {
@@ -293,7 +411,24 @@ func (r *Reader) NextBlock(b *EventBlock) error {
 		}
 		b.Append(ev)
 	}
-	return nil
+}
+
+// decodeBuffered appends events to b while a maximal event is buffered,
+// the block has room and, for LPTRACE1, the declared count is not yet
+// reached. It stops in front of any event decodeEvents rejects.
+func (r *Reader) decodeBuffered(b *EventBlock) {
+	if r.done {
+		return
+	}
+	limit := b.Cap()
+	if !r.v2 && r.n-r.i < uint64(limit-b.N) {
+		limit = b.N + int(r.n-r.i)
+	}
+	p, _ := r.br.Peek(r.br.Buffered())
+	k, off, _ := decodeEvents(p, r.v2, r.i, uint64(r.tb.NumChains()), b, b.N, limit, maxEventLen)
+	r.i += uint64(k - b.N)
+	b.N = k
+	r.br.Discard(off)
 }
 
 // Writer encodes a trace incrementally in the LPTRACE2 format: NewWriter
